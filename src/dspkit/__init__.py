@@ -48,10 +48,8 @@ from .genericity import (
 from .jnf import (
     Jnf,
     JnfTuple,
-    MultiplicityVector,
     centralizer_dim_oracle,
     corresponding_diagonal,
-    d_of,
     diagonalized,
     format_pmv,
     jnf_from_dict,
@@ -59,13 +57,11 @@ from .jnf import (
     jnf_tuple_from_dict,
     jnf_tuple_to_dict,
     parse_pmv,
-    r_of,
 )
 from .partitions import (
     Partition,
     disjoint_sum,
     dual,
-    format_partition,
     normalize,
     parse_partition,
     partitions_of,
@@ -78,7 +74,6 @@ from .reduction import (
     Verdict,
     check_conditions,
     decide,
-    decide_diagonal_crosscheck,
     psi_step,
     solvable_pmv,
     trace_to_dict,

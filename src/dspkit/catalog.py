@@ -450,7 +450,7 @@ class EnumConstraints:
     max_first_part: int | None = None
     forbid_all_ones: bool = False
     forbid_scalar: bool = False
-    require_defect: int | None = None
+    require_defect: int = 2
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.num_entries < 2:
@@ -473,14 +473,7 @@ def _enum_shard(args: tuple[tuple[int, ...], EnumConstraints]) -> set[tuple[tupl
     first, c = args
     n = c.n
     pool = [mv for mv in partitions_of(n) if _entry_allowed(mv, c)]
-    rem = c.num_entries - 1
     found: set[tuple[tuple[int, ...], ...]] = set()
-    if c.require_defect is None:
-        for combo in itertools.combinations_with_replacement(pool, rem):
-            tup = (first, *combo)
-            if solvable_pmv(tup):
-                found.add(tuple(sorted(tup, reverse=True)))
-        return found
     # sum over entries of sum-of-squares is pinned by the defect; bucket the
     # last entry by that value and only scan matching candidates
     target = c.require_defect + (c.num_entries - 2) * n * n
@@ -488,7 +481,7 @@ def _enum_shard(args: tuple[tuple[int, ...], EnumConstraints]) -> set[tuple[tupl
     for mv in pool:
         buckets.setdefault(_sum_squares(mv), []).append(mv)
     base = _sum_squares(first)
-    for combo in itertools.combinations_with_replacement(pool, rem - 1):
+    for combo in itertools.combinations_with_replacement(pool, c.num_entries - 2):
         s = base + sum(_sum_squares(mv) for mv in combo)
         for last in buckets.get(target - s, ()):
             tup = (first, *combo, last)
@@ -503,14 +496,14 @@ def enumerate_rigid(
     jobs: int = 1,
     max_n: int | None = None,
 ) -> list[JnfTuple]:
-    """All diagonal tuples meeting the constraints whose decision is solvable,
-    deduplicated up to entry permutation, in a deterministic order.
+    """All diagonal tuples meeting the constraints whose defect is
+    ``require_defect`` and whose decision is solvable, deduplicated up to
+    entry permutation, in a deterministic order.
 
-    With ``require_defect`` set, candidates are pre-filtered by the exact
-    sum-of-squares budget that the defect imposes, which keeps full
-    classification sweeps fast.  ``jobs > 1`` shards the first-entry
-    candidates across processes; results are merged and sorted, so the output
-    does not depend on the worker count.
+    Candidates are generated within the exact sum-of-squares budget that the
+    defect imposes, which keeps full classification sweeps fast.  ``jobs > 1``
+    shards the first-entry candidates across processes; results are merged
+    and sorted, so the output does not depend on the worker count.
     """
     limit = DEFAULT_MAX_ENUM_N if max_n is None else max_n
     if c.n > limit:

@@ -1,8 +1,10 @@
 """Command-line surface: decision, tracing, enumeration, catalog tools, duality,
 and genericity checks, with stable text and JSON output.
 
-Verdicts are data, not exit codes: a NotSolvable decision still exits 0.  Only
-malformed input (exit 2) and exceeded resource guards (exit 3) are errors.
+Verdicts are data, not exit codes: a NotSolvable decision still exits 0.  A
+failed check or construction exits 1 (a catalog-verify failure, a chain
+mismatch, an obstructed generic-gen), malformed input exits 2, and an exceeded
+resource guard exits 3.
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ from .jnf import (
     corresponding_diagonal,
     jnf_from_dict,
     jnf_tuple_from_dict,
+    parse_pmv,
 )
-from .partitions import normalize, parse_partition, parse_parts
+from .partitions import parse_partition
 from .reduction import decide, trace_to_dict
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
@@ -46,41 +50,29 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _parse_mvs(text: str) -> list[list[int]]:
-    segments = [seg for seg in text.split(";") if seg.strip()]
-    if not segments:
-        raise ValueError("empty tuple")
-    return [parse_parts(seg) for seg in segments]
-
-
 def _tuple_from_args(args) -> JnfTuple:
-    sources = [bool(getattr(args, "pmv", None)), bool(getattr(args, "jnf", None))]
-    if sum(sources) != 1:
+    if bool(args.pmv) == bool(args.jnf):
         raise ValueError("provide exactly one of: a multiplicity-vector tuple, --jnf")
-    if getattr(args, "pmv", None):
-        raw = _parse_mvs(args.pmv)
-        mvs = [normalize(parts) for parts in raw]
-        for parts, mv in zip(raw, mvs):
-            if tuple(p for p in parts if p) != mv.parts:
-                print(f"warning: normalized {parts} to {mv}", file=sys.stderr)
-        return JnfTuple.from_pmv(mvs)
-    return jnf_tuple_from_dict(json.loads(args.jnf))
-
-
-def _step_names(state) -> list[str]:
-    return catalog.identify(state)
+    if args.jnf:
+        return jnf_tuple_from_dict(json.loads(args.jnf))
+    t = parse_pmv(args.pmv)
+    if str(t) != "".join(args.pmv.split()):
+        print(f"warning: normalized {args.pmv!r} to {t}", file=sys.stderr)
+    return t
 
 
 def _decide_payload(t: JnfTuple):
     trace = decide(t)
     payload = trace_to_dict(trace)
     payload["defect"] = catalog.defect(t)
-    payload["chain"] = [_step_names(s.state) for s in trace.steps]
+    payload["chain"] = [catalog.identify(s.state) for s in trace.steps]
     return payload, trace
 
 
-def _render_state(state) -> str:
-    return str(state)
+def _print_verdict(payload: dict) -> None:
+    v = payload["verdict"]
+    word = "Solvable" if v["solvable"] else "NotSolvable"
+    print(f"verdict: {word} ({v['reason']}) at step {v['at_step']}")
 
 
 def _cmd_decide(args) -> int:
@@ -91,8 +83,7 @@ def _cmd_decide(args) -> int:
                 if not line:
                     continue
                 item = json.loads(line)
-                t = (JnfTuple.from_pmv([normalize(p) for p in _parse_mvs(item)])
-                     if isinstance(item, str) else jnf_tuple_from_dict(item))
+                t = parse_pmv(item) if isinstance(item, str) else jnf_tuple_from_dict(item)
                 _emit_json(_decide_payload(t)[0])
         return EXIT_OK
     t = _tuple_from_args(args)
@@ -100,13 +91,11 @@ def _cmd_decide(args) -> int:
     if args.json:
         _emit_json(payload)
         return EXIT_OK
-    v = payload["verdict"]
-    word = "Solvable" if v["solvable"] else "NotSolvable"
-    print(f"verdict: {word} ({v['reason']}) at step {v['at_step']}")
+    _print_verdict(payload)
     print(f"defect: {payload['defect']}")
     labels = []
     for names, step in zip(payload["chain"], trace.steps):
-        labels.append("=".join(names) if names else _render_state(step.state))
+        labels.append("=".join(names) if names else str(step.state))
     print("chain: " + " -> ".join(labels))
     return EXIT_OK
 
@@ -117,9 +106,7 @@ def _cmd_trace(args) -> int:
     if args.json:
         _emit_json(payload)
         return EXIT_OK
-    v = payload["verdict"]
-    word = "Solvable" if v["solvable"] else "NotSolvable"
-    print(f"verdict: {word} ({v['reason']}) at step {v['at_step']}")
+    _print_verdict(payload)
     for i, step in enumerate(payload["steps"]):
         state = step.get("pmv") or json.dumps(step["state"], sort_keys=True)
         names = payload["chain"][i]
@@ -264,14 +251,16 @@ def _cmd_catalog_verify(args) -> int:
     failures = []
     for sid in catalog.all_series_ids(args.max_n):
         t = catalog.series(sid)
-        ok = catalog.defect(t) == 2 and decide(t).solvable
+        ok = catalog.defect(t) == 2
         if ok and args.chains:
+            # verify_chain runs decide and fails on a non-solvable verdict
             try:
                 catalog.verify_chain(sid)
             except ChainMismatchError as exc:
                 ok = False
                 failures.append(str(exc))
-        elif not ok:
+        elif not (ok and decide(t).solvable):
+            ok = False
             failures.append(f"{sid}: defect or verdict check failed")
         stats = per_family.setdefault(sid.name, {"instances": 0, "ok": 0})
         stats["instances"] += 1
@@ -285,7 +274,7 @@ def _cmd_catalog_verify(args) -> int:
             stats = per_family[name]
             print(f"{name}: {stats['ok']}/{stats['instances']} instances OK")
         print("all OK" if not failures else f"failures: {failures}")
-    return EXIT_OK
+    return EXIT_FAILED if failures else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +376,7 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except (ObstructionError, GenerationFailedError, ChainMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_FAILED
     except (ValueError, KeyError, json.JSONDecodeError, OSError, DspkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

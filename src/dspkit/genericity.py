@@ -192,11 +192,6 @@ def _relation_key(v: ExactValue, multiplicative: bool):
     return (v.formal, v.const)
 
 
-def _negated_key(v: ExactValue, multiplicative: bool):
-    neg = -v
-    return _relation_key(neg, multiplicative)
-
-
 def nongenericity_witness(a: EigenvalueAssignment) -> NongenericityWitness | None:
     """Smallest (kappa, lexicographic sub-multiplicity choice) violating relation,
     or None when the assignment is generic.
@@ -226,7 +221,7 @@ def nongenericity_witness(a: EigenvalueAssignment) -> NongenericityWitness | Non
             for _, partial in combo:
                 total = total + partial
             if right:
-                hit = table.get(_negated_key(total, mult_mode))
+                hit = table.get(_relation_key(-total, mult_mode))
                 if hit is None:
                     continue
                 vecs = tuple(v for v, _ in combo) + tuple(v for v, _ in hit)

@@ -16,10 +16,6 @@ from typing import Iterable
 from .errors import ResourceLimitError
 from .partitions import Partition, disjoint_sum, dual, normalize, parse_parts
 
-#: A multiplicity vector is just a partition playing the role of eigenvalue
-#: multiplicities, largest first.
-MultiplicityVector = Partition
-
 #: The explicit-matrix oracle works on dense n x n matrices; keep it tiny.
 ORACLE_MAX_SIZE = 8
 
@@ -83,14 +79,6 @@ class Jnf:
         if self.is_diagonal:
             return str(self.multiplicity_vector())
         return "{" + ",".join(str(s) for s in self.slots) + "}"
-
-
-def r_of(j: Jnf) -> int:
-    return j.r
-
-
-def d_of(j: Jnf) -> int:
-    return j.d
 
 
 def corresponding_diagonal(j: Jnf) -> Partition:

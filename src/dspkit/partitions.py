@@ -100,10 +100,6 @@ def parse_partition(text: str) -> Partition:
     return normalize(parse_parts(text))
 
 
-def format_partition(p: Partition) -> str:
-    return str(p)
-
-
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """All partitions of ``n`` as non-increasing tuples, largest first part first."""
     if n < 0:

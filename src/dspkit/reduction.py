@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .errors import PreconditionError
-from .jnf import Jnf, JnfTuple, diagonalized, jnf_tuple_to_dict
+from .jnf import Jnf, JnfTuple, jnf_tuple_to_dict
 from .partitions import normalize
 
 
@@ -179,11 +179,6 @@ def decide(t: JnfTuple) -> ReductionTrace:
         steps.append(TraceStep(cur, rep, n, n1, scalars))
         cur = psi_step(cur)
     return ReductionTrace(tuple(steps), verdict)
-
-
-def decide_diagonal_crosscheck(t: JnfTuple) -> bool:
-    """Same verdict on the tuple and on its corresponding diagonal tuple."""
-    return decide(t).solvable == decide(diagonalized(t)).solvable
 
 
 def solvable_pmv(mvs: Sequence[Sequence[int]]) -> bool:

@@ -35,17 +35,15 @@ from dspkit import (
     centralizer_dim_oracle,
     check_conditions,
     corresponding_diagonal,
-    d_of,
     decide,
-    decide_diagonal_crosscheck,
     defect,
+    diagonalized,
     enumerate_rigid,
     gcd_obstruction,
     generate_generic,
     is_generic,
     nongenericity_witness,
     partitions_of,
-    r_of,
     series,
     trace_condition,
     verify_chain,
@@ -332,17 +330,18 @@ def test_criterion_10_correspondence_consistency():
         jnfs = all_jnfs(n)
         for j in jnfs:
             diag = Jnf.diagonal(corresponding_diagonal(j))
-            assert r_of(diag) == r_of(j) and d_of(diag) == d_of(j)
+            assert diag.r == j.r and diag.d == j.d
         for count in (2, 3):
             for combo in itertools.combinations_with_replacement(jnfs, count):
-                assert decide_diagonal_crosscheck(JnfTuple(combo))
+                t = JnfTuple(combo)
+                assert decide(t).solvable == decide(diagonalized(t)).solvable
     rng = random.Random(1234)
     for _ in range(10_000):
         t = random_jnf_tuple(rng, rng.randint(1, 10), rng.randint(2, 3))
         for e in t.entries:
             diag = Jnf.diagonal(corresponding_diagonal(e))
-            assert r_of(diag) == r_of(e) and d_of(diag) == d_of(e)
-        assert decide_diagonal_crosscheck(t)
+            assert diag.r == e.r and diag.d == e.d
+        assert decide(t).solvable == decide(diagonalized(t)).solvable
     report("10", "rank and dimension preserved and verdicts agree under the "
                  "diagonal correspondence (exhaustive n<=6, 10000 random n<=10)")
 
@@ -351,7 +350,7 @@ def test_criterion_11_centralizer_oracle():
     checked = 0
     for n in range(1, 6):
         for j in all_jnfs(n):
-            assert d_of(j) == n * n - centralizer_dim_oracle(j)
+            assert j.d == n * n - centralizer_dim_oracle(j)
             checked += 1
     report("11", f"closed-form dimension equals the explicit commutator-kernel "
                  f"oracle for all {checked} shapes of size <= 5")

@@ -14,6 +14,9 @@ def test_decide_text(capsys):
     assert code == 0
     assert "Solvable" in out and "W_2" in out
     assert "normalized" in err  # input was unsorted
+    code, out, err = run(capsys, "decide", "(3,2,2);(3,2,2);(3,2,2)")
+    assert code == 0 and "W_2" in out
+    assert "normalized" not in err  # canonical input
 
 
 def test_decide_json_deterministic(capsys):
@@ -44,11 +47,13 @@ def test_decide_jnf_json_input(capsys):
 
 def test_decide_batch_file(tmp_path, capsys):
     path = tmp_path / "batch.jsonl"
-    path.write_text('"(2,1);(1,1,1);(1,1,1)"\n"(4,4);(4,4);(7,1)"\n', encoding="utf-8")
+    path.write_text('"(2,1);(1,1,1);(1,1,1)"\n"(4,4);(4,4);(7,1)"\n'
+                    '"(1,2,2);(3,2);(4,1)"\n"(2,2,1);(3,2);(4,1)"\n', encoding="utf-8")
     code, out, _ = run(capsys, "decide", "--file", str(path))
     assert code == 0
     lines = [json.loads(line) for line in out.splitlines()]
-    assert [l["verdict"]["solvable"] for l in lines] == [True, False]
+    assert [l["verdict"]["solvable"] for l in lines[:2]] == [True, False]
+    assert lines[2] == lines[3]  # unsorted input is normalized
 
 
 def test_parse_error_exit_code(capsys):
@@ -150,9 +155,19 @@ def test_generic_check_witness(capsys):
     assert payload["witness"]["kappa"] == 2
 
 
-def test_catalog_verify(capsys):
-    code, out, _ = run(capsys, "catalog-verify", "--max-n", "12", "--chains", "--json")
+def test_catalog_verify(capsys, monkeypatch):
+    import dspkit.catalog as cat
+
+    args = ["catalog-verify", "--max-n", "12", "--chains", "--json"]
+    code, out, _ = run(capsys, *args)
     assert code == 0
     payload = json.loads(out)
     assert payload["all_ok"] is True
     assert payload["families"]["W"]["ok"] == payload["families"]["W"]["instances"]
+    # a broken chain is reported and exits 1
+    monkeypatch.setitem(cat._SUCCESSORS, "W", lambda k: cat.SeriesId("S", k))
+    code, out, _ = run(capsys, *args)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["all_ok"] is False
+    assert payload["families"]["W"]["ok"] < payload["families"]["W"]["instances"]

@@ -6,13 +6,11 @@ from dspkit import (
     ResourceLimitError,
     centralizer_dim_oracle,
     corresponding_diagonal,
-    d_of,
     diagonalized,
     format_pmv,
     jnf_tuple_from_dict,
     jnf_tuple_to_dict,
     parse_pmv,
-    r_of,
 )
 from helpers import all_jnfs
 
@@ -23,19 +21,19 @@ def mv(*parts):
 
 def test_r_examples():
     for n in (3, 5, 9):
-        assert r_of(mv(n - 1, 1)) == 1
-        assert r_of(mv(*([1] * n))) == n - 1
+        assert mv(n - 1, 1).r == 1
+        assert mv(*([1] * n)).r == n - 1
     j = Jnf.from_blocks([[4, 2, 2], [5, 1]])
     assert j.n == 14
-    assert r_of(j) == 11
+    assert j.r == 11
 
 
 def test_d_examples():
     for n in (2, 4, 7):
-        assert d_of(mv(*([1] * n))) == n * n - n
-    assert d_of(Jnf.from_blocks([[3]])) == 6
-    assert d_of(Jnf.from_blocks([[4, 2, 2]])) == 44
-    assert d_of(Jnf.from_blocks([[4, 2, 2], [5, 1]])) == 168
+        assert mv(*([1] * n)).d == n * n - n
+    assert Jnf.from_blocks([[3]]).d == 6
+    assert Jnf.from_blocks([[4, 2, 2]]).d == 44
+    assert Jnf.from_blocks([[4, 2, 2], [5, 1]]).d == 168
 
 
 def test_corresponding_diagonal_examples():
@@ -55,15 +53,15 @@ def test_r_d_preserved_by_correspondence_exhaustive():
     for n in range(1, 13):
         for j in all_jnfs(n):
             diag = Jnf.diagonal(corresponding_diagonal(j))
-            assert r_of(diag) == r_of(j)
-            assert d_of(diag) == d_of(j)
+            assert diag.r == j.r
+            assert diag.d == j.d
 
 
 def test_d_even_and_bounded_exhaustive():
     for n in range(1, 11):
         for j in all_jnfs(n):
-            assert d_of(j) % 2 == 0
-            assert 0 <= d_of(j) <= n * n - n
+            assert j.d % 2 == 0
+            assert 0 <= j.d <= n * n - n
 
 
 def test_centralizer_oracle_examples():
@@ -80,7 +78,7 @@ def test_centralizer_oracle_guard():
 def test_oracle_matches_d_small():
     for n in range(1, 5):
         for j in all_jnfs(n):
-            assert d_of(j) == j.n * j.n - centralizer_dim_oracle(j)
+            assert j.d == j.n * j.n - centralizer_dim_oracle(j)
 
 
 def test_tuple_validation():

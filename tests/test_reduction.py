@@ -10,7 +10,7 @@ from dspkit import (
     Reason,
     check_conditions,
     decide,
-    decide_diagonal_crosscheck,
+    diagonalized,
     format_pmv,
     parse_pmv,
     partitions_of,
@@ -181,8 +181,7 @@ def test_u2_equivalence_small():
 def test_crosscheck_examples():
     t1 = JnfTuple((Jnf.from_blocks([[2, 2]]), Jnf.from_blocks([[2, 2]]),
                    Jnf.from_blocks([[3, 1]])))
-    assert decide_diagonal_crosscheck(t1)
     t2 = JnfTuple((Jnf.diagonal((2, 2, 2)), Jnf.diagonal((2, 2, 2)),
                    Jnf.from_blocks([[3, 2, 1]])))
-    assert decide_diagonal_crosscheck(t2)
-    assert decide_diagonal_crosscheck(parse_pmv("(2,2);(2,2);(2,1,1)"))
+    for t in (t1, t2, parse_pmv("(2,2);(2,2);(2,1,1)")):
+        assert decide(t).solvable == decide(diagonalized(t)).solvable
