@@ -51,7 +51,6 @@ from .jnf import (
     centralizer_dim_oracle,
     corresponding_diagonal,
     diagonalized,
-    format_pmv,
     jnf_from_dict,
     jnf_to_dict,
     jnf_tuple_from_dict,

@@ -2,12 +2,13 @@
 and the constrained exhaustive enumerator of rigid diagonal tuples.
 
 A tuple is rigid when its defect 2n^2 - sum(d_j) equals 2.  The catalog stores
-one generator per named family, each family's reduction chain, and enough
-inverse bookkeeping to recognize catalog members inside traces.
+one generator per named family, each family's reduction chain, and a per-size
+index that recognizes catalog members inside traces.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -18,7 +19,7 @@ from .errors import (
     SeriesParameterError,
     UndefinedMoveError,
 )
-from .jnf import JnfTuple, format_pmv
+from .jnf import JnfTuple
 from .partitions import Partition, normalize, partitions_of
 from .reduction import decide, solvable_pmv
 
@@ -137,8 +138,7 @@ def parse_series_id(text: str) -> SeriesId:
 
 @dataclass(frozen=True)
 class _Family:
-    n_of: Callable[[int], int]
-    from_n: Callable[[int], int | None]
+    n_of: Callable[[int], int]  # increasing in the parameter
     ok: Callable[[int], bool]
     build: Callable[[int], list[list[int]]]
 
@@ -147,127 +147,123 @@ def _tw(twos: int, ones: int) -> list[int]:
     return [2] * twos + [1] * ones
 
 
-def _div(n: int, shift: int, q: int) -> int | None:
-    return (n - shift) // q if (n - shift) % q == 0 else None
-
-
 FAMILIES: dict[str, _Family] = {
     # triples indexed by k
-    "W": _Family(lambda k: 3 * k + 1, lambda n: _div(n, 1, 3), lambda k: k >= 0,
+    "W": _Family(lambda k: 3 * k + 1, lambda k: k >= 0,
                  lambda k: [[k, k, k + 1]] * 3),
-    "B": _Family(lambda k: 3 * k - 1, lambda n: _div(n, -1, 3), lambda k: k >= 1,
+    "B": _Family(lambda k: 3 * k - 1, lambda k: k >= 1,
                  lambda k: [[k, k, k - 1]] * 3),
-    "C": _Family(lambda k: 3 * k, lambda n: _div(n, 0, 3), lambda k: k >= 1,
+    "C": _Family(lambda k: 3 * k, lambda k: k >= 1,
                  lambda k: [[k, k, k], [k, k, k], [k, k + 1, k - 1]]),
-    "D": _Family(lambda k: 4 * k + 1, lambda n: _div(n, 1, 4), lambda k: k >= 0,
+    "D": _Family(lambda k: 4 * k + 1, lambda k: k >= 0,
                  lambda k: [[k, k, k, k + 1], [k, k, k, k + 1], [2 * k, 2 * k + 1]]),
-    "E": _Family(lambda k: 4 * k - 1, lambda n: _div(n, -1, 4), lambda k: k >= 1,
+    "E": _Family(lambda k: 4 * k - 1, lambda k: k >= 1,
                  lambda k: [[k, k, k, k - 1], [k, k, k, k - 1], [2 * k, 2 * k - 1]]),
-    "F": _Family(lambda k: 4 * k, lambda n: _div(n, 0, 4), lambda k: k >= 1,
+    "F": _Family(lambda k: 4 * k, lambda k: k >= 1,
                  lambda k: [[k] * 4, [k] * 4, [2 * k + 1, 2 * k - 1]]),
-    "Phi": _Family(lambda k: 4 * k, lambda n: _div(n, 0, 4), lambda k: k >= 1,
+    "Phi": _Family(lambda k: 4 * k, lambda k: k >= 1,
                    lambda k: [[k, k, k + 1, k - 1], [k] * 4, [2 * k, 2 * k]]),
-    "G": _Family(lambda k: 4 * k + 2, lambda n: _div(n, 2, 4), lambda k: k >= 0,
+    "G": _Family(lambda k: 4 * k + 2, lambda k: k >= 0,
                  lambda k: [[k, k, k + 1, k + 1], [k, k, k + 1, k + 1], [2 * k + 1, 2 * k + 1]]),
-    "H": _Family(lambda k: 6 * k + 1, lambda n: _div(n, 1, 6), lambda k: k >= 0,
+    "H": _Family(lambda k: 6 * k + 1, lambda k: k >= 0,
                  lambda k: [[k] * 5 + [k + 1], [3 * k, 3 * k + 1], [2 * k, 2 * k, 2 * k + 1]]),
-    "I": _Family(lambda k: 6 * k - 1, lambda n: _div(n, -1, 6), lambda k: k >= 1,
+    "I": _Family(lambda k: 6 * k - 1, lambda k: k >= 1,
                  lambda k: [[k] * 5 + [k - 1], [3 * k, 3 * k - 1], [2 * k, 2 * k, 2 * k - 1]]),
-    "J": _Family(lambda k: 6 * k, lambda n: _div(n, 0, 6), lambda k: k >= 1,
+    "J": _Family(lambda k: 6 * k, lambda k: k >= 1,
                  lambda k: [[k] * 6, [3 * k + 1, 3 * k - 1], [2 * k] * 3]),
-    "K": _Family(lambda k: 6 * k, lambda n: _div(n, 0, 6), lambda k: k >= 1,
+    "K": _Family(lambda k: 6 * k, lambda k: k >= 1,
                  lambda k: [[k] * 6, [3 * k, 3 * k], [2 * k, 2 * k + 1, 2 * k - 1]]),
-    "L": _Family(lambda k: 6 * k, lambda n: _div(n, 0, 6), lambda k: k >= 1,
+    "L": _Family(lambda k: 6 * k, lambda k: k >= 1,
                  lambda k: [[k] * 4 + [k + 1, k - 1], [3 * k, 3 * k], [2 * k] * 3]),
-    "V": _Family(lambda k: 6 * k + 2, lambda n: _div(n, 2, 6), lambda k: k >= 0,
+    "V": _Family(lambda k: 6 * k + 2, lambda k: k >= 0,
                  lambda k: [[k] * 4 + [k + 1, k + 1], [3 * k + 1, 3 * k + 1],
                             [2 * k, 2 * k + 1, 2 * k + 1]]),
-    "N": _Family(lambda k: 6 * k + 3, lambda n: _div(n, 3, 6), lambda k: k >= 0,
+    "N": _Family(lambda k: 6 * k + 3, lambda k: k >= 0,
                  lambda k: [[k] * 3 + [k + 1] * 3, [3 * k + 1, 3 * k + 2], [2 * k + 1] * 3]),
-    "P": _Family(lambda k: 6 * k - 2, lambda n: _div(n, -2, 6), lambda k: k >= 1,
+    "P": _Family(lambda k: 6 * k - 2, lambda k: k >= 1,
                  lambda k: [[k] * 4 + [k - 1] * 2, [3 * k - 1, 3 * k - 1],
                             [2 * k, 2 * k - 1, 2 * k - 1]]),
     # quadruples / quintuple indexed by k; R_1's fourth vector degenerates to a
     # scalar, so R starts at 2
-    "R": _Family(lambda k: 2 * k, lambda n: _div(n, 0, 2), lambda k: k >= 2,
+    "R": _Family(lambda k: 2 * k, lambda k: k >= 2,
                  lambda k: [[k, k]] * 3 + [[k + 1, k - 1]]),
-    "S": _Family(lambda k: 2 * k + 1, lambda n: _div(n, 1, 2), lambda k: k >= 0,
+    "S": _Family(lambda k: 2 * k + 1, lambda k: k >= 0,
                  lambda k: [[k + 1, k]] * 4),
-    "T": _Family(lambda k: 4 * k, lambda n: _div(n, 0, 4), lambda k: k >= 1,
+    "T": _Family(lambda k: 4 * k, lambda k: k >= 1,
                  lambda k: [[2 * k + 1, 2 * k - 1]] + [[3 * k, k]] * 4),
     # classical triples indexed by n
-    "HG": _Family(lambda n: n, lambda n: n, lambda n: n >= 1,
+    "HG": _Family(lambda n: n, lambda n: n >= 1,
                   lambda n: [[n - 1, 1], [1] * n, [1] * n]),
-    "OF": _Family(lambda n: n, lambda n: n, lambda n: n >= 3 and n % 2 == 1,
+    "OF": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
                   lambda n: [[(n + 1) // 2, (n - 1) // 2],
                              [(n - 1) // 2, (n - 1) // 2, 1], [1] * n]),
-    "EF": _Family(lambda n: n, lambda n: n, lambda n: n >= 2 and n % 2 == 0,
+    "EF": _Family(lambda n: n, lambda n: n >= 2 and n % 2 == 0,
                   lambda n: [[n // 2, n // 2], [n // 2, (n - 2) // 2, 1], [1] * n]),
-    "FF": _Family(lambda n: n, lambda n: n, lambda n: 5 <= n <= 8,
+    "FF": _Family(lambda n: n, lambda n: 5 <= n <= 8,
                   lambda n: [[2] + [1] * (n - 2), _tw(n - 4, 8 - n), [n - 2, 2]]),
-    "OG": _Family(lambda k: 2 * k + 1, lambda n: _div(n, 1, 2), lambda k: k >= 1,
+    "OG": _Family(lambda k: 2 * k + 1, lambda k: k >= 1,
                   lambda k: [_tw(k - 1, 3), _tw(k, 1), [2 * k - 1, 1, 1]]),
     # the (n+1)-entry hook series
-    "Star": _Family(lambda n: n, lambda n: n, lambda n: n >= 2,
+    "Star": _Family(lambda n: n, lambda n: n >= 2,
                     lambda n: [[n - 1, 1]] * (n + 1)),
     # quadruple classification families (even/odd n)
-    "Xi": _Family(lambda n: n, lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Xi": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
                   lambda n: [[2] * (n // 2), [n // 2] * 2, [n // 2] * 2, [n - 1, 1]]),
-    "Theta": _Family(lambda n: n, lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Theta": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
                      lambda n: [_tw((n - 2) // 2, 2), [n // 2] * 2,
                                 [n // 2 + 1, n // 2 - 1], [n - 1, 1]]),
-    "Psi6": _Family(lambda n: n, lambda n: n, lambda n: n == 6,
+    "Psi6": _Family(lambda n: n, lambda n: n == 6,
                     lambda n: [[2, 2, 2], [3, 3], [4, 1, 1], [5, 1]]),
-    "Pi": _Family(lambda n: n, lambda n: n, lambda n: n >= 3 and n % 2 == 1,
+    "Pi": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
                   lambda n: [_tw((n - 1) // 2, 1), [(n + 1) // 2, (n - 1) // 2],
                              [(n + 1) // 2, (n - 1) // 2], [n - 1, 1]]),
-    "Delta": _Family(lambda n: n, lambda n: n, lambda n: n >= 3 and n % 2 == 1,
+    "Delta": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
                      lambda n: [_tw((n - 1) // 2, 1)] * 2 + [[n - 1, 1]] * 2),
     # triple classification families, n even
-    "Gamma1": _Family(lambda n: n, lambda n: n, lambda n: n >= 6 and n % 2 == 0,
+    "Gamma1": _Family(lambda n: n, lambda n: n >= 6 and n % 2 == 0,
                       lambda n: [[2] * (n // 2), _tw((n - 6) // 2, 6), [n - 2, 2]]),
-    "Gamma2": _Family(lambda n: n, lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Gamma2": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
                       lambda n: [_tw((n - 2) // 2, 2), _tw((n - 4) // 2, 4), [n - 2, 2]]),
-    "Gamma3": _Family(lambda n: n, lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Gamma3": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
                       lambda n: [_tw((n - 2) // 2, 2)] * 2 + [[n - 2, 1, 1]]),
-    "Gamma4": _Family(lambda n: n, lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Gamma4": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
                       lambda n: [[2] * (n // 2), _tw((n - 4) // 2, 4), [n - 2, 1, 1]]),
-    "Y1": _Family(lambda n: n, lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Y1": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
                   lambda n: [_tw((n - 4) // 2, 4), [(n - 2) // 2, (n - 2) // 2, 2],
                              [n // 2, n // 2]]),
-    "Y2": _Family(lambda n: n, lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Y2": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
                   lambda n: [_tw((n - 2) // 2, 2), [(n - 2) // 2, (n - 2) // 2, 1, 1],
                              [n // 2, n // 2]]),
-    "Y3": _Family(lambda n: n, lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Y3": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
                   lambda n: [_tw((n - 4) // 2, 4), [n // 2, (n - 4) // 2, 1, 1],
                              [n // 2, n // 2]]),
-    "Y4": _Family(lambda n: n, lambda n: n, lambda n: n >= 6 and n % 2 == 0,
+    "Y4": _Family(lambda n: n, lambda n: n >= 6 and n % 2 == 0,
                   lambda n: [_tw((n - 6) // 2, 6), [n // 2, (n - 4) // 2, 2],
                              [n // 2, n // 2]]),
-    "Y5": _Family(lambda n: n, lambda n: n, lambda n: n >= 2 and n % 2 == 0,
+    "Y5": _Family(lambda n: n, lambda n: n >= 2 and n % 2 == 0,
                   lambda n: [_tw((n - 2) // 2, 2), [n // 2, (n - 2) // 2, 1],
                              [n // 2, (n - 2) // 2, 1]]),
-    "Y6": _Family(lambda n: n, lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Y6": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
                   lambda n: [_tw((n - 4) // 2, 4), [(n - 2) // 2, (n - 2) // 2, 1, 1],
                              [(n + 2) // 2, (n - 2) // 2]]),
-    "Y7": _Family(lambda n: n, lambda n: n, lambda n: n >= 6 and n % 2 == 0,
+    "Y7": _Family(lambda n: n, lambda n: n >= 6 and n % 2 == 0,
                   lambda n: [_tw((n - 6) // 2, 6), [(n - 2) // 2, (n - 2) // 2, 2],
                              [(n + 2) // 2, (n - 2) // 2]]),
     # triple classification families, n odd
-    "X1": _Family(lambda n: n, lambda n: n, lambda n: n >= 5 and n % 2 == 1,
+    "X1": _Family(lambda n: n, lambda n: n >= 5 and n % 2 == 1,
                   lambda n: [_tw((n - 5) // 2, 5), _tw((n - 1) // 2, 1), [n - 2, 2]]),
-    "X2": _Family(lambda n: n, lambda n: n, lambda n: n >= 3 and n % 2 == 1,
+    "X2": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
                   lambda n: [_tw((n - 3) // 2, 3)] * 2 + [[n - 2, 2]]),
-    "Z1": _Family(lambda n: n, lambda n: n, lambda n: n >= 3 and n % 2 == 1,
+    "Z1": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
                   lambda n: [_tw((n - 1) // 2, 1), [(n - 1) // 2, (n - 1) // 2, 1],
                              [(n - 1) // 2, (n - 1) // 2, 1]]),
-    "Z2": _Family(lambda n: n, lambda n: n, lambda n: n >= 5 and n % 2 == 1,
+    "Z2": _Family(lambda n: n, lambda n: n >= 5 and n % 2 == 1,
                   lambda n: [_tw((n - 5) // 2, 5), [(n - 1) // 2, (n - 3) // 2, 2],
                              [(n + 1) // 2, (n - 1) // 2]]),
-    "Z3": _Family(lambda n: n, lambda n: n, lambda n: n >= 3 and n % 2 == 1,
+    "Z3": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
                   lambda n: [_tw((n - 3) // 2, 3), [(n - 1) // 2, (n - 3) // 2, 1, 1],
                              [(n + 1) // 2, (n - 1) // 2]]),
-    "Z4": _Family(lambda n: n, lambda n: n, lambda n: n >= 3 and n % 2 == 1,
+    "Z4": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
                   lambda n: [_tw((n - 3) // 2, 3), [(n - 1) // 2, (n - 1) // 2, 1],
                              [(n + 1) // 2, (n - 3) // 2, 1]]),
 }
@@ -281,8 +277,8 @@ def series_mvs(sid: SeriesId) -> tuple[Partition, ...]:
     if not fam.ok(sid.param):
         raise SeriesParameterError(f"parameter {sid.param} out of range for {sid.name}")
     mvs = sorted((normalize(raw) for raw in fam.build(sid.param)), reverse=True)
-    inst_n = {mv.size for mv in mvs}
-    assert len(inst_n) == 1 and inst_n.pop() == fam.n_of(sid.param)
+    if {mv.size for mv in mvs} != {fam.n_of(sid.param)}:
+        raise RuntimeError(f"{sid} does not build vectors of size {fam.n_of(sid.param)}")
     return tuple(mvs)
 
 
@@ -296,14 +292,11 @@ def series(sid: SeriesId | str) -> JnfTuple:
 def all_series_ids(max_n: int) -> Iterator[SeriesId]:
     """Every catalog instance of size up to ``max_n``, family by family."""
     for name, fam in FAMILIES.items():
-        param = 0 if fam.ok(0) else 1
-        while not fam.ok(param) and fam.n_of(param) <= max_n:
+        param = 0
+        while fam.n_of(param) <= max_n:
+            if fam.ok(param):
+                yield SeriesId(name, param)
             param += 1
-        while fam.ok(param) and fam.n_of(param) <= max_n:
-            yield SeriesId(name, param)
-            param += 1
-            while not fam.ok(param) and fam.n_of(param) <= max_n:
-                param += 1
 
 
 def canonical_form(t: JnfTuple) -> JnfTuple:
@@ -311,23 +304,21 @@ def canonical_form(t: JnfTuple) -> JnfTuple:
     return JnfTuple(tuple(sorted(t.entries, reverse=True)))
 
 
+@functools.cache
+def _names_by_pmv(n: int) -> dict[tuple[Partition, ...], list[str]]:
+    """Names of the size-``n`` catalog instances, keyed by canonical vectors."""
+    index: dict[tuple[Partition, ...], list[str]] = {}
+    for sid in all_series_ids(n):
+        if FAMILIES[sid.name].n_of(sid.param) == n:
+            index.setdefault(series_mvs(sid), []).append(str(sid))
+    return index
+
+
 def identify(t: JnfTuple) -> list[str]:
     """Names of every catalog instance equal to ``t`` up to entry permutation."""
-    n = t.n
-    count = len(t.entries)
-    key = canonical_form(t)
-    names = []
-    for name, fam in FAMILIES.items():
-        param = fam.from_n(n)
-        if param is None or not fam.ok(param):
-            continue
-        sid = SeriesId(name, param)
-        mvs = series_mvs(sid)
-        if len(mvs) != count:
-            continue
-        if canonical_form(JnfTuple.from_pmv(mvs)) == key:
-            names.append(str(sid))
-    return sorted(names)
+    if not t.is_diagonal:
+        return []
+    return sorted(_names_by_pmv(t.n).get(tuple(sorted(t.pmv(), reverse=True)), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +402,7 @@ def expected_chain(sid: SeriesId | str) -> list[ChainStep]:
             break
         if isinstance(nxt, int):
             ones = JnfTuple.from_pmv([(1,)] * nxt)
-            chain.append(ChainStep(format_pmv(ones), ones))
+            chain.append(ChainStep(str(ones), ones))
             break
         cur = nxt
     return chain
@@ -426,7 +417,7 @@ def verify_chain(sid: SeriesId | str) -> list[str]:
     if isinstance(sid, str):
         sid = parse_series_id(sid)
     expected = expected_chain(sid)
-    trace = decide(series(sid))
+    trace = decide(expected[0].state)
     if len(trace.steps) != len(expected):
         raise ChainMismatchError(
             f"{sid}: trace has {len(trace.steps)} steps, chain expects {len(expected)}")

@@ -6,7 +6,7 @@ multiplicative setting a value x stands for the eigenvalue exp(2*pi*i*x), so
 "product equals 1" becomes "weighted sum is an integer with no formal part".
 
 An assignment is generic when no proper sub-selection relation holds: for
-every kappa strictly between 1 and n and every per-entry choice of
+every kappa with 1 <= kappa <= n - 1 and every per-entry choice of
 sub-multiplicities summing to kappa, the weighted sum is nonzero (additive)
 or non-integral (multiplicative).
 """
@@ -204,34 +204,27 @@ def nongenericity_witness(a: EigenvalueAssignment) -> NongenericityWitness | Non
         raise ResourceLimitError(f"genericity check limited to n <= {GENERIC_CHECK_MAX_N}")
     mult_mode = a.mode == "multiplicative"
     half = (len(a.entries) + 1) // 2
-    for kappa in range(2, n):
+    for kappa in range(1, n):
         per = [_weighted_subvectors(entry, kappa) for entry in a.entries]
         left, right = per[:half], per[half:]
         table: dict = {}
-        if right:
-            for combo in itertools.product(*right):
-                total = ExactValue()
-                for _, partial in combo:
-                    total = total + partial
-                key = _relation_key(total, mult_mode)
-                if key not in table:
-                    table[key] = combo
+        for combo in itertools.product(*right):
+            total = ExactValue()
+            for _, partial in combo:
+                total = total + partial
+            key = _relation_key(total, mult_mode)
+            if key not in table:
+                table[key] = combo
         for combo in itertools.product(*left):
             total = ExactValue()
             for _, partial in combo:
                 total = total + partial
-            if right:
-                hit = table.get(_relation_key(-total, mult_mode))
-                if hit is None:
-                    continue
-                vecs = tuple(v for v, _ in combo) + tuple(v for v, _ in hit)
-                for _, partial in hit:
-                    total = total + partial
-            else:
-                ok = total.is_integral if mult_mode else total.is_zero
-                if not ok:
-                    continue
-                vecs = tuple(v for v, _ in combo)
+            hit = table.get(_relation_key(-total, mult_mode))
+            if hit is None:
+                continue
+            vecs = tuple(v for v, _ in combo) + tuple(v for v, _ in hit)
+            for _, partial in hit:
+                total = total + partial
             return NongenericityWitness(kappa, vecs, total)
     return None
 
@@ -319,14 +312,11 @@ def generate_generic(
             offsets = [Fraction(0)] * free
         else:
             offsets = [Fraction(rng.randrange(-4096, 4097), 4096) for _ in range(free)]
-        try:
-            a = candidate_assignment(t, mode, offsets=offsets,
-                                     product_exponent=product_exponent)
-        except ValueError:
-            continue
+        a = candidate_assignment(t, mode, offsets=offsets, product_exponent=product_exponent)
         witness = nongenericity_witness(a)
         if witness is None:
-            assert trace_condition(a)
+            if not trace_condition(a):
+                raise RuntimeError(f"generated assignment for {t} breaks the trace condition")
             return a
         last_witness = witness
     raise GenerationFailedError("no generic assignment found within the retry budget",

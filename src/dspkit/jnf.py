@@ -130,10 +130,6 @@ def diagonalized(t: JnfTuple) -> JnfTuple:
     return JnfTuple.from_pmv([corresponding_diagonal(e) for e in t.entries])
 
 
-def format_pmv(t: JnfTuple) -> str:
-    return ";".join(str(e.multiplicity_vector()) for e in t.entries)
-
-
 def parse_pmv(text: str) -> JnfTuple:
     segments = [seg for seg in text.split(";") if seg.strip()]
     return JnfTuple.from_pmv([normalize(parse_parts(seg)) for seg in segments])

@@ -120,7 +120,8 @@ def psi_step(
         chosen = candidates[0] if slot_choice is None else slot_choice(idx, candidates)
         if chosen not in candidates:
             raise PreconditionError("slot_choice must pick a maximal-count slot")
-        assert k <= max_count  # guaranteed by beta: n - n1 <= n - r_j
+        if k > max_count:  # beta guarantees n - n1 <= n - r_j
+            raise RuntimeError(f"block bound broken: cutting {k} from {max_count} blocks")
         blocks = list(e.slots[chosen].parts)
         for i in range(len(blocks) - k, len(blocks)):
             blocks[i] -= 1
@@ -161,7 +162,8 @@ def decide(t: JnfTuple) -> ReductionTrace:
         defect = 2 * n * n - (rep.alpha_slack + 2 * n * n - 2)
         if defect0 is None:
             defect0 = defect
-        assert defect == defect0  # invariant of the reduction
+        if defect != defect0:
+            raise RuntimeError(f"defect invariant broken: {defect0} became {defect} at size {n}")
         if first and not rep.alpha:
             steps.append(TraceStep(cur, rep, n, None, scalars))
             verdict = Verdict(False, Reason.ALPHA_FAILS, len(steps) - 1)
@@ -244,7 +246,7 @@ def trace_to_dict(trace: ReductionTrace) -> dict:
             "omega": {"holds": rep.omega, "slack": rep.omega_slack},
         }
         if step.state.is_diagonal:
-            entry["pmv"] = ";".join(str(e.multiplicity_vector()) for e in step.state.entries)
+            entry["pmv"] = str(step.state)
         steps.append(entry)
     return {
         "verdict": {

@@ -5,18 +5,19 @@ from hypothesis import strategies as st
 from dspkit import (
     ChainMismatchError,
     EnumConstraints,
+    Jnf,
     JnfTuple,
     Partition,
     ResourceLimitError,
     SeriesParameterError,
     UndefinedMoveError,
+    all_series_ids,
     antipassage_targets,
     canonical_form,
     case_omega,
     catalog_lines,
     defect,
     enumerate_rigid,
-    format_pmv,
     identify,
     is_rigid,
     min_d_mv,
@@ -169,12 +170,12 @@ def test_two_vector_rebalancing_decreases_dimension_sum(data):
 
 
 def test_series_examples():
-    assert format_pmv(series("W_2")) == "(3,2,2);(3,2,2);(3,2,2)"
+    assert str(series("W_2")) == "(3,2,2);(3,2,2);(3,2,2)"
     og = series("OG_2")
     assert sorted(e.multiplicity_vector().parts for e in og.entries) == [
         (2, 1, 1, 1), (2, 2, 1), (3, 1, 1)]
-    assert format_pmv(series("FF_5")) == "(3,2);(2,1,1,1);(2,1,1,1)"
-    assert format_pmv(series("Psi6")) == "(5,1);(4,1,1);(3,3);(2,2,2)"
+    assert str(series("FF_5")) == "(3,2);(2,1,1,1);(2,1,1,1)"
+    assert str(series("Psi6")) == "(5,1);(4,1,1);(3,3);(2,2,2)"
     assert series("Star_3").entries == parse_pmv("(2,1);(2,1);(2,1);(2,1)").entries
 
 
@@ -192,6 +193,23 @@ def test_identify_multi_names():
     # genuine small-size coincidence of four families
     assert identify(series("X1_5")) == ["I_1", "OF_5", "X1_5", "Z2_5"]
     assert identify(parse_pmv("(9,1);(9,1);(2,2,2,2,2);(2,2,2,2,1,1)")) == []
+    # a Jordan tuple is never named, though its diagonal counterpart here is W_1
+    jordan = JnfTuple((Jnf.from_blocks([[2, 1], [1]]), Jnf.diagonal((2, 1, 1)),
+                       Jnf.diagonal((2, 1, 1))))
+    assert identify(jordan) == []
+
+
+def test_identify_matches_brute_force():
+    instances = [(sid, canonical_form(series(sid))) for sid in all_series_ids(40)]
+    for sid, key in instances:
+        t = series(sid)
+        reversed_t = JnfTuple(tuple(reversed(t.entries)))
+        want = sorted(str(other) for other, okey in instances if okey == key)
+        assert identify(reversed_t) == want, sid
+
+
+def test_all_series_ids_counts():
+    assert [len(list(all_series_ids(m))) for m in (30, 40, 60)] == [540, 728, 1106]
 
 
 # ---------------------------------------------------------------------------
@@ -269,4 +287,4 @@ def test_catalog_lines_shape():
 
 def test_canonical_form_sorts_entries():
     t = parse_pmv("(2,1,1);(3,1);(2,2)")
-    assert format_pmv(canonical_form(t)) == "(3,1);(2,2);(2,1,1)"
+    assert str(canonical_form(t)) == "(3,1);(2,2);(2,1,1)"

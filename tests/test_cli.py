@@ -152,7 +152,7 @@ def test_generic_check_witness(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["generic"] is False
-    assert payload["witness"]["kappa"] == 2
+    assert payload["witness"]["kappa"] == 1
 
 
 def test_catalog_verify(capsys, monkeypatch):

@@ -173,15 +173,27 @@ def test_search_space_counts_match_naive_subsets():
 
 
 def test_witness_is_smallest():
-    # several kappa=2 relations exist; the lexicographically first is reported
+    # kappa=1 relations (0+0 and 5-5) exist; the lexicographically first is reported
     entries = (
         ((ExactValue.rational(0), 2), (ExactValue.rational(5), 2)),
         ((ExactValue.rational(0), 2), (ExactValue.rational(-5), 2)),
     )
     a = EigenvalueAssignment("additive", entries)
     w = nongenericity_witness(a)
-    assert w.kappa == 2
-    assert w.sub_multiplicities == ((0, 2), (0, 2))
+    assert w.kappa == 1
+    assert w.sub_multiplicities == ((0, 1), (0, 1))
+
+
+def test_kappa_one_relation_is_found():
+    # trace-balanced n=2 triple {0,1},{0,1},{0,-2}: one value from each entry sums to 0
+    entries = tuple(
+        ((ExactValue.rational(0), 1), (ExactValue.rational(x), 1)) for x in (1, 1, -2))
+    a = EigenvalueAssignment("additive", entries)
+    assert trace_condition(a)
+    w = nongenericity_witness(a)
+    assert w is not None and w.kappa == 1
+    assert w.total.is_zero
+    assert not is_generic(a)
 
 
 def test_check_guard():

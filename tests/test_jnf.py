@@ -7,7 +7,6 @@ from dspkit import (
     centralizer_dim_oracle,
     corresponding_diagonal,
     diagonalized,
-    format_pmv,
     jnf_tuple_from_dict,
     jnf_tuple_to_dict,
     parse_pmv,
@@ -92,7 +91,7 @@ def test_tuple_validation():
 
 def test_pmv_text_round_trip():
     t = parse_pmv("(2,2,1);(3,2);(4,1)")
-    assert format_pmv(t) == "(2,2,1);(3,2);(4,1)"
+    assert str(t) == "(2,2,1);(3,2);(4,1)"
     assert t.n == 5
     assert parse_pmv("(1,2,2);(3,2);(4,1)") == t  # normalized
 
@@ -109,7 +108,7 @@ def test_tuple_json_round_trip():
 def test_diagonalized_keeps_order():
     t = JnfTuple((Jnf.from_blocks([[2, 2]]), mv(3, 1), mv(2, 2)))
     d = diagonalized(t)
-    assert format_pmv(d) == "(2,2);(3,1);(2,2)"
+    assert str(d) == "(2,2);(3,1);(2,2)"
 
 
 def test_scalar_detection():

@@ -11,7 +11,6 @@ from dspkit import (
     check_conditions,
     decide,
     diagonalized,
-    format_pmv,
     parse_pmv,
     partitions_of,
     psi_step,
@@ -40,12 +39,12 @@ def test_alpha_fails_for_any_third_entry_with_two_half_half():
 
 def test_psi_step_w2_to_b2():
     t = parse_pmv("(3,2,2);(3,2,2);(3,2,2)")
-    assert format_pmv(psi_step(t)) == "(2,2,1);(2,2,1);(2,2,1)"
+    assert str(psi_step(t)) == "(2,2,1);(2,2,1);(2,2,1)"
 
 
 def test_psi_step_pi9_to_pi7():
     t = parse_pmv("(2,2,2,2,1);(5,4);(5,4);(8,1)")
-    assert format_pmv(psi_step(t)) == "(2,2,2,1);(4,3);(4,3);(6,1)"
+    assert str(psi_step(t)) == "(2,2,2,1);(4,3);(4,3);(6,1)"
 
 
 def test_psi_step_block_rule():
@@ -68,7 +67,7 @@ def test_psi_step_preconditions():
 
 def test_decide_w_series_chain():
     trace = decide(parse_pmv("(3,2,2);(3,2,2);(3,2,2)"))
-    states = [format_pmv(s.state) for s in trace.steps]
+    states = [str(s.state) for s in trace.steps]
     assert states == [
         "(3,2,2);(3,2,2);(3,2,2)",
         "(2,2,1);(2,2,1);(2,2,1)",
@@ -86,7 +85,7 @@ def test_decide_beta_failure_after_one_step():
     assert not trace.verdict.solvable
     assert trace.verdict.reason is Reason.BETA_FAILS
     assert trace.verdict.at_step == 1
-    assert format_pmv(trace.steps[1].state) == "(2,1,1,1,1,1);(4,2,1);(4,2,1)"
+    assert str(trace.steps[1].state) == "(2,1,1,1,1,1);(4,2,1);(4,2,1)"
 
 
 def test_decide_scalar_drop_mid_reduction():
@@ -96,7 +95,7 @@ def test_decide_scalar_drop_mid_reduction():
     assert trace.verdict.solvable
     step = trace.steps[1]
     assert step.dropped_scalar_indices == (0,)
-    assert format_pmv(step.state) == "(2,1);(2,1);(2,1);(2,1)"
+    assert str(step.state) == "(2,1);(2,1);(2,1);(2,1)"
 
 
 def test_decide_alpha_failure_reported_at_start():
