@@ -77,15 +77,22 @@ def _print_verdict(payload: dict) -> None:
 
 def _cmd_decide(args) -> int:
     if args.file:
+        bad = False
         with open(args.file, "r", encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, 1):
                 line = line.strip()
                 if not line:
                     continue
-                item = json.loads(line)
-                t = parse_pmv(item) if isinstance(item, str) else jnf_tuple_from_dict(item)
+                try:
+                    item = json.loads(line)
+                    t = parse_pmv(item) if isinstance(item, str) else jnf_tuple_from_dict(item)
+                except (ValueError, KeyError, TypeError, DspkitError) as exc:
+                    # a malformed line is reported in place; the rest of the batch still runs
+                    _emit_json({"line": number, "error": str(exc)})
+                    bad = True
+                    continue
                 _emit_json(_decide_payload(t)[0])
-        return EXIT_OK
+        return EXIT_USAGE if bad else EXIT_OK
     t = _tuple_from_args(args)
     payload, trace = _decide_payload(t)
     if args.json:
@@ -221,16 +228,19 @@ def _load_assignment(args):
 def _cmd_generic_check(args) -> int:
     a = _load_assignment(args)
     witness = nongenericity_witness(a)
+    traced = trace_condition(a)
     payload = {
-        "trace_condition": trace_condition(a),
-        "generic": witness is None,
+        "trace_condition": traced,
+        "generic": traced and witness is None,
         "witness": None if witness is None else witness_to_dict(witness),
     }
     if args.json:
         _emit_json(payload)
     else:
-        print(f"trace condition: {payload['trace_condition']}")
-        if witness is None:
+        print(f"trace condition: {traced}")
+        if not traced:
+            print("generic: false (trace condition fails)")
+        elif witness is None:
             print("generic: true")
         else:
             print(f"generic: false (kappa={witness.kappa}, "

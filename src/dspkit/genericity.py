@@ -13,11 +13,11 @@ or non-integral (multiplicative).
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .errors import GenerationFailedError, ObstructionError, ResourceLimitError
@@ -159,19 +159,39 @@ def trace_condition(a: EigenvalueAssignment) -> bool:
     return total.is_zero if a.mode == "additive" else total.is_integral
 
 
+def _integer_entries(a: EigenvalueAssignment):
+    """The assignment's values as integer coordinate tuples over one common
+    denominator D: a value q_0 + sum q_b * t_b becomes D * (q_0, q_b1, q_b2, ...)
+    over the formal indices b that occur anywhere in ``a``.  Returns D, the
+    tuple length and the entries as (coordinates, multiplicity) pairs."""
+    values = [v for entry in a.entries for v, _ in entry]
+    position = {b: k for k, b in enumerate(sorted({b for v in values for b, _ in v.formal}), 1)}
+    denom = math.lcm(*(q.denominator for v in values for q in (v.const, *(cf for _, cf in v.formal))))
+
+    def coords(v: ExactValue) -> tuple[int, ...]:
+        row = [0] * (len(position) + 1)
+        row[0] = int(v.const * denom)
+        for b, cf in v.formal:
+            row[position[b]] = int(cf * denom)
+        return tuple(row)
+
+    return denom, len(position) + 1, [[(coords(v), m) for v, m in entry] for entry in a.entries]
+
+
 def _weighted_subvectors(
-    entry: Sequence[tuple[ExactValue, int]], kappa: int
-) -> list[tuple[tuple[int, ...], ExactValue]]:
-    """Sub-multiplicity vectors of one entry with sum kappa, lexicographically
-    ascending, each with its weighted partial sum."""
+    entry: Sequence[tuple[tuple[int, ...], int]], kappa: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Sub-multiplicity vectors of one entry of (coordinates, multiplicity)
+    pairs with sum kappa, lexicographically ascending, each with its weighted
+    coordinate sum."""
     mults = [m for _, m in entry]
     values = [v for v, _ in entry]
     suffix = [0] * (len(mults) + 1)
     for i in range(len(mults) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + mults[i]
-    out: list[tuple[tuple[int, ...], ExactValue]] = []
+    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    def rec(i: int, remaining: int, vec: list[int], acc: ExactValue) -> None:
+    def rec(i: int, remaining: int, vec: list[int], acc: tuple[int, ...]) -> None:
         if remaining > suffix[i]:
             return
         if i == len(mults):
@@ -179,58 +199,75 @@ def _weighted_subvectors(
             return
         for c in range(0, min(mults[i], remaining) + 1):
             vec.append(c)
-            rec(i + 1, remaining - c, vec, acc + values[i].scaled(c) if c else acc)
+            rec(i + 1, remaining - c, vec,
+                tuple(x + c * y for x, y in zip(acc, values[i])) if c else acc)
             vec.pop()
 
-    rec(0, kappa, [], ExactValue())
+    rec(0, kappa, [], (0,) * len(values[0]))
     return out
 
 
-def _relation_key(v: ExactValue, multiplicative: bool):
-    if multiplicative:
-        return (v.formal, v.const % 1)
-    return (v.formal, v.const)
+def _prefix_sums(factors, dim: int) -> list[tuple[tuple, tuple[int, ...]]]:
+    """(vectors, coordinate sum) of every combination of ``factors``, in
+    ``itertools.product`` order."""
+    out = [((), (0,) * dim)]
+    for factor in factors:
+        out = [(vecs + (v,), tuple(map(add, s, p))) for vecs, s in out for v, p in factor]
+    return out
 
 
 def nongenericity_witness(a: EigenvalueAssignment) -> NongenericityWitness | None:
     """Smallest (kappa, lexicographic sub-multiplicity choice) violating relation,
-    or None when the assignment is generic.
+    or None when no sub-selection relation holds.  The trace condition is not
+    checked here; ``is_generic`` requires both.
 
     The search space per kappa is the product over entries of that entry's
-    sub-multiplicity vectors with sum kappa; it is scanned meet-in-the-middle.
+    sub-multiplicity vectors with sum kappa; it is scanned meet-in-the-middle
+    on integer coordinates (see ``_integer_entries``).  A right-hand table maps
+    each sum to its first combination; the left-hand entries enter negated, so
+    a relation is a left-hand sum that equals a right-hand key.  In the
+    multiplicative setting only the constant coordinate modulo D matters.
     """
     n = a.n
     if n > GENERIC_CHECK_MAX_N:
         raise ResourceLimitError(f"genericity check limited to n <= {GENERIC_CHECK_MAX_N}")
+    denom, dim, entries = _integer_entries(a)
+    half = (len(entries) + 1) // 2
+    left_entries = [[(tuple(-x for x in v), m) for v, m in entry] for entry in entries[:half]]
+    right_entries = entries[half:]
     mult_mode = a.mode == "multiplicative"
-    half = (len(a.entries) + 1) // 2
     for kappa in range(1, n):
-        per = [_weighted_subvectors(entry, kappa) for entry in a.entries]
-        left, right = per[:half], per[half:]
+        right = [_weighted_subvectors(entry, kappa) for entry in right_entries]
         table: dict = {}
-        for combo in itertools.product(*right):
-            total = ExactValue()
-            for _, partial in combo:
-                total = total + partial
-            key = _relation_key(total, mult_mode)
-            if key not in table:
-                table[key] = combo
-        for combo in itertools.product(*left):
-            total = ExactValue()
-            for _, partial in combo:
-                total = total + partial
-            hit = table.get(_relation_key(-total, mult_mode))
-            if hit is None:
-                continue
-            vecs = tuple(v for v, _ in combo) + tuple(v for v, _ in hit)
-            for _, partial in hit:
-                total = total + partial
-            return NongenericityWitness(kappa, vecs, total)
+        for vecs, s in _prefix_sums(right[:-1], dim):
+            for v, p in right[-1]:
+                total = tuple(map(add, s, p))
+                key = (total[0] % denom,) + total[1:] if mult_mode else total
+                if key not in table:
+                    table[key] = vecs + (v,)
+        left = [_weighted_subvectors(entry, kappa) for entry in left_entries]
+        for vecs, s in _prefix_sums(left[:-1], dim):
+            for v, p in left[-1]:
+                total = tuple(map(add, s, p))
+                hit = table.get((total[0] % denom,) + total[1:] if mult_mode else total)
+                if hit is not None:
+                    choice = vecs + (v,) + hit
+                    return NongenericityWitness(kappa, choice, _selection_total(a, choice))
     return None
 
 
+def _selection_total(a: EigenvalueAssignment, choice) -> ExactValue:
+    total = ExactValue()
+    for entry, vec in zip(a.entries, choice):
+        for (value, _), c in zip(entry, vec):
+            if c:
+                total = total + value.scaled(c)
+    return total
+
+
 def is_generic(a: EigenvalueAssignment) -> bool:
-    return nongenericity_witness(a) is None
+    """The trace condition holds and no sub-selection relation does."""
+    return trace_condition(a) and nongenericity_witness(a) is None
 
 
 def gcd_obstruction(t: JnfTuple) -> int | None:

@@ -70,16 +70,10 @@ def all_jnfs(n: int) -> list[Jnf]:
     return sorted(set(out), reverse=True)
 
 
-def reduces_to_simple_root(pmv) -> bool:
-    """Whether the star-quiver dimension vector of diagonal multiplicity
-    vectors ``pmv`` is a positive real root, by Kac's reflection reduction.
-
-    The centre carries n and arm i carries n - m_i1, n - m_i1 - m_i2, ....
-    Reflecting at a vertex whose value exceeds half its neighbours' sum keeps
-    a positive root positive and lowers the total; a real root ends at a
-    simple root, and anything else either turns negative or stalls.  Uses no
-    dspkit code, so it is an independent oracle for the solvability verdict.
-    """
+def _star_vector(pmv):
+    """Star-quiver dimension vector of diagonal multiplicity vectors ``pmv``
+    and its adjacency lists: the centre carries n and arm i carries
+    n - m_i1, n - m_i1 - m_i2, ...."""
     n = sum(pmv[0])
     alpha, nbrs = [n], [[]]
     for mv in pmv:
@@ -90,6 +84,15 @@ def reduces_to_simple_root(pmv) -> bool:
             nbrs.append([prev])
             nbrs[prev].append(len(alpha) - 1)
             prev = len(alpha) - 1
+    return alpha, nbrs
+
+
+def _reflect_down(alpha, nbrs):
+    """Kac's reflection reduction.  Reflecting at a vertex whose value exceeds
+    half its neighbours' sum keeps a positive root other than that simple
+    root positive and lowers the total.  Returns the vector it ends at (a
+    simple root, or one that no reflection lowers), or None once a
+    coordinate turns negative (not a root).  Changes ``alpha`` in place."""
     while sum(alpha) > 1:
         for v, a in enumerate(alpha):
             s = sum(alpha[u] for u in nbrs[v])
@@ -97,7 +100,65 @@ def reduces_to_simple_root(pmv) -> bool:
                 alpha[v] = s - a
                 break
         else:
-            return False
+            return alpha
         if alpha[v] < 0:
-            return False
-    return True
+            return None
+    return alpha
+
+
+def reduces_to_simple_root(pmv) -> bool:
+    """Whether the star-quiver dimension vector of diagonal multiplicity
+    vectors ``pmv`` is a positive real root, by Kac's reflection reduction:
+    a real root ends at a simple root, and anything else either turns
+    negative or stalls.  Uses no dspkit code, so it is an independent oracle
+    for the solvability verdict.
+    """
+    end = _reflect_down(*_star_vector(pmv))
+    return end is not None and sum(end) <= 1
+
+
+def is_positive_root(pmv) -> bool:
+    """Whether the star-quiver dimension vector of ``pmv`` is a positive root
+    (real or imaginary), by Kac's fundamental-set test: reduce by
+    reflections; a vector that no reflection lowers is a root iff its
+    support is connected.  For generic eigenvalues this is Crawley-Boevey's
+    criterion for an irreducible solution, so it is a dspkit-free oracle for
+    ``solvable_pmv`` on diagonal tuples.
+    """
+    alpha, nbrs = _star_vector(pmv)
+    end = _reflect_down(alpha, nbrs)
+    if end is None:
+        return False
+    support = [v for v, a in enumerate(end) if a]
+    seen, stack = {support[0]}, [support[0]]
+    while stack:
+        for u in nbrs[stack.pop()]:
+            if end[u] and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(support)
+
+
+def naive_witness(a):
+    """First sub-selection relation of assignment ``a`` by brute force over
+    plain Fractions: kappa ascending from 1, then the full lexicographic
+    product of per-entry sub-multiplicity vectors with sum kappa.  Returns
+    ``(kappa, sub_multiplicities, (const, formal))`` or None.  Reads only the
+    values' coefficients, so it is an independent oracle for
+    ``nongenericity_witness``."""
+    entries = [[(v.const, dict(v.formal), m) for v, m in entry] for entry in a.entries]
+    n = sum(m for _, _, m in entries[0])
+    for kappa in range(1, n):
+        per = [[vec for vec in itertools.product(*(range(m + 1) for _, _, m in entry))
+                if sum(vec) == kappa] for entry in entries]
+        for choice in itertools.product(*per):
+            const, formal = Fraction(0), {}
+            for entry, vec in zip(entries, choice):
+                for (c0, coeffs, _), c in zip(entry, vec):
+                    const += c * c0
+                    for b, cf in coeffs.items():
+                        formal[b] = formal.get(b, 0) + c * cf
+            formal = tuple(sorted((b, cf) for b, cf in formal.items() if cf))
+            if not formal and (const == 0 if a.mode == "additive" else const.denominator == 1):
+                return kappa, choice, (const, formal)
+    return None

@@ -56,6 +56,19 @@ def test_decide_batch_file(tmp_path, capsys):
     assert lines[2] == lines[3]  # unsorted input is normalized
 
 
+def test_decide_batch_file_bad_line_continues(tmp_path, capsys):
+    path = tmp_path / "batch.jsonl"
+    path.write_text('"(2,1);(1,1,1);(1,1,1)"\n"(2,2;(3)"\n\n{"entries": 5}\n'
+                    '"(4,4);(4,4);(7,1)"\n', encoding="utf-8")
+    code, out, _ = run(capsys, "decide", "--file", str(path))
+    assert code == 2
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == 4
+    assert lines[0]["verdict"]["solvable"] is True
+    assert [l["line"] for l in lines[1:3]] == [2, 4] and all(l["error"] for l in lines[1:3])
+    assert lines[3]["verdict"]["reason"] == "AlphaFails"
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "decide", "2,2,3")
     assert code == 2 and err
@@ -153,6 +166,19 @@ def test_generic_check_witness(capsys):
     payload = json.loads(out)
     assert payload["generic"] is False
     assert payload["witness"]["kappa"] == 1
+
+
+def test_generic_check_trace_condition_failure(capsys):
+    # additive 1(x2),2 / 1(x2),2 / 1(x2),5: no relation, but the values sum to 14
+    blob = json.dumps({"mode": "additive", "entries": [
+        [{"coeffs": {"1": "1"}, "mult": 2}, {"coeffs": {"1": x}, "mult": 1}]
+        for x in ("2", "2", "5")]})
+    code, out, _ = run(capsys, "generic-check", blob, "--json")
+    assert code == 0
+    assert json.loads(out) == {"generic": False, "trace_condition": False, "witness": None}
+    code, out, _ = run(capsys, "generic-check", blob)
+    assert code == 0
+    assert out == "trace condition: False\ngeneric: false (trace condition fails)\n"
 
 
 def test_catalog_verify(capsys, monkeypatch):

@@ -24,7 +24,7 @@ from dspkit import (
     weighted_total,
 )
 from dspkit.genericity import _weighted_subvectors
-from helpers import rational_assignment
+from helpers import naive_witness, random_partition, rational_assignment
 
 
 def test_exact_value_arithmetic():
@@ -152,24 +152,68 @@ def test_search_space_counts_match_naive_subsets():
     rng = random.Random(12)
     for _ in range(40):
         n = rng.randint(2, 6)
-        mults = []
-        rem = n
-        while rem:
-            p = rng.randint(1, rem)
-            mults.append(p)
-            rem -= p
-        mults.sort(reverse=True)
-        entry = tuple((ExactValue.basis(i + 1), m) for i, m in enumerate(mults))
+        mults = random_partition(rng, n)
+        entry = tuple((tuple(int(i == j) for j in range(len(mults))), m)
+                      for i, m in enumerate(mults))
         positions = [i for i, m in enumerate(mults) for _ in range(m)]
-        for kappa in range(2, n):
-            vectors = {v for v, _ in _weighted_subvectors(entry, kappa)}
+        for kappa in range(1, n):
+            subs = _weighted_subvectors(entry, kappa)
+            # one unit coordinate per slot, so the weighted sum is the vector itself
+            assert all(v == s for v, s in subs)
+            assert [v for v, _ in subs] == sorted(v for v, _ in subs)
             naive = set()
             for subset in itertools.combinations(range(n), kappa):
                 counts = [0] * len(mults)
                 for idx in subset:
                     counts[positions[idx]] += 1
                 naive.add(tuple(counts))
-            assert vectors == naive
+            assert {v for v, _ in subs} == naive
+
+
+def _random_value(rng: random.Random, style: int) -> ExactValue:
+    if style == 0:  # small integers: relations are common
+        return ExactValue.rational(rng.randint(-2, 2))
+    if style == 1:
+        return ExactValue.rational(Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4])))
+    formal = tuple((b, Fraction(rng.randint(-2, 2), rng.choice([1, 2])))
+                   for b in rng.sample(range(1, 4), rng.randint(0, 2)))
+    return ExactValue(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])), formal)
+
+
+def test_witness_matches_naive_oracle():
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for _ in range(150):
+        entries = rng.randint(2, 4)
+        n = rng.randint(2, 5 if entries == 4 else 6)
+        style = rng.randint(0, 2)
+        for mode in ("additive", "multiplicative"):
+            rows = []
+            for _ in range(entries):
+                mults = random_partition(rng, n)
+                values = [_random_value(rng, style) for _ in mults]
+                while len(set(values)) < len(values):
+                    values = [_random_value(rng, style) for _ in mults]
+                rows.append(tuple(zip(values, mults)))
+            a = EigenvalueAssignment(mode, tuple(rows))
+            w = nongenericity_witness(a)
+            got = None if w is None else (w.kappa, w.sub_multiplicities,
+                                          (w.total.const, w.total.formal))
+            want = naive_witness(a)
+            assert got == want, a
+            outcomes[want is not None] += 1
+    # both outcomes occur often, so neither branch is tested vacuously
+    assert min(outcomes.values()) > 100
+
+
+def test_trace_condition_failure_is_not_generic():
+    # no sub-selection relation, but the values sum to 14, not 0
+    one, two, five = (ExactValue.rational(x) for x in (1, 2, 5))
+    a = EigenvalueAssignment("additive", (((one, 2), (two, 1)), ((one, 2), (two, 1)),
+                                          ((one, 2), (five, 1))))
+    assert not trace_condition(a)
+    assert nongenericity_witness(a) is None
+    assert not is_generic(a)
 
 
 def test_witness_is_smallest():

@@ -16,7 +16,7 @@ from dspkit import (
     psi_step,
     solvable_pmv,
 )
-from helpers import random_jnf_tuple, random_pmv
+from helpers import is_positive_root, random_jnf_tuple, random_pmv
 
 
 def test_conditions_hypergeometric_triple():
@@ -163,6 +163,18 @@ def test_solvable_pmv_agrees_with_decide():
     for _ in range(400):
         pmv = random_pmv(rng, rng.randint(1, 10), rng.randint(2, 5))
         assert solvable_pmv(pmv) == decide(JnfTuple.from_pmv(pmv)).solvable
+
+
+def test_solvable_pmv_matches_root_oracle_exhaustive():
+    # every diagonal tuple with n <= 9 and 2-4 entries, against Kac's root test
+    count = 0
+    for n in range(1, 10):
+        pool = list(partitions_of(n))
+        for entries in range(2, 5):
+            for pmv in itertools.combinations_with_replacement(pool, entries):
+                assert solvable_pmv(pmv) == is_positive_root(pmv), pmv
+                count += 1
+    assert count == 66973
 
 
 def test_u2_equivalence_small():
