@@ -1,5 +1,6 @@
 """Rigidity arithmetic, multiplicity-vector moves, the named-series catalog,
-and the constrained exhaustive enumerator of rigid diagonal tuples.
+and the enumerator of rigid diagonal tuples, which grows them from size 1 by
+running the reduction step backwards.
 
 A tuple is rigid when its defect 2n^2 - sum(d_j) equals 2.  The catalog stores
 one generator per named family, each family's reduction chain, and a per-size
@@ -20,10 +21,10 @@ from .errors import (
     UndefinedMoveError,
 )
 from .jnf import JnfTuple
-from .partitions import Partition, normalize, partitions_of
+from .partitions import Partition, normalize
 from .reduction import decide, solvable_pmv
 
-#: Default guard for the exhaustive enumerator (overridable, e.g. via DSPKIT_MAX_N).
+#: Default guard for the enumerator (overridable, e.g. via DSPKIT_MAX_N).
 DEFAULT_MAX_ENUM_N = 40
 MAX_ENUM_ENTRIES = 6
 
@@ -431,7 +432,7 @@ def verify_chain(sid: SeriesId | str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration
+# enumeration
 
 
 @dataclass(frozen=True)
@@ -446,73 +447,63 @@ class EnumConstraints:
     def __post_init__(self) -> None:
         if self.n < 1 or self.num_entries < 2:
             raise ValueError("need n >= 1 and at least two entries")
+        if self.require_defect != 2:
+            raise ValueError(f"only defect 2 (rigid) can be enumerated, not {self.require_defect}")
 
 
-def _entry_allowed(mv: tuple[int, ...], c: EnumConstraints) -> bool:
-    if c.forbid_scalar and len(mv) == 1:
-        return False
-    if c.forbid_all_ones and mv[0] == 1:
-        return False
-    return True
+def _children(parent: tuple[tuple[int, ...], ...], max_n: int) -> set[tuple[tuple[int, ...], ...]]:
+    """Canonical tuples of size <= ``max_n`` that one reduction step takes to ``parent``:
+    entry j gains k = (E-2)*n1 - sum(x_j) on one part x_j (or on a new part, x_j = 0),
+    and x_j + k must be a largest part, since the step cuts one."""
+    n1 = sum(parent[0])
+    base = (len(parent) - 2) * n1
+    # per entry: each part x (0 for none) -> what is left of the entry without it
+    left = [{0: mv, **{x: mv[:i] + mv[i + 1:] for i, x in enumerate(mv)}} for mv in parent]
+    out = set()
+    for xs in itertools.product(*left):
+        k = base - sum(xs)
+        if k < 1 or n1 + k > max_n:
+            continue
+        child = []
+        for x, rests in zip(xs, left):
+            rest = rests[x]
+            if rest and rest[0] > x + k:
+                break
+            child.append((x + k, *rest))
+        else:
+            # at n = n1 + k the child's rank sum is 2n - k, so omega fails, and
+            # n1 minus each rank is x_j >= 0, so beta holds: the step is defined
+            out.add(tuple(sorted(child, reverse=True)))
+    return out
 
 
-def _sum_squares(mv: tuple[int, ...]) -> int:
-    return sum(x * x for x in mv)
+def enumerate_rigid(c: EnumConstraints, *, max_n: int | None = None) -> list[JnfTuple]:
+    """All solvable rigid diagonal tuples meeting the constraints, up to entry
+    permutation, sorted by their canonical multiplicity vectors.
 
-
-def _enum_shard(args: tuple[tuple[int, ...], EnumConstraints]) -> set[tuple[tuple[int, ...], ...]]:
-    first, c = args
-    n = c.n
-    pool = [mv for mv in partitions_of(n) if _entry_allowed(mv, c)]
-    found: set[tuple[tuple[int, ...], ...]] = set()
-    # sum over entries of sum-of-squares is pinned by the defect; bucket the
-    # last entry by that value and only scan matching candidates
-    target = c.require_defect + (c.num_entries - 2) * n * n
-    buckets: dict[int, list[tuple[int, ...]]] = {}
-    for mv in pool:
-        buckets.setdefault(_sum_squares(mv), []).append(mv)
-    base = _sum_squares(first)
-    for combo in itertools.combinations_with_replacement(pool, c.num_entries - 2):
-        s = base + sum(_sum_squares(mv) for mv in combo)
-        for last in buckets.get(target - s, ()):
-            tup = (first, *combo, last)
-            if solvable_pmv(tup):
-                found.add(tuple(sorted(tup, reverse=True)))
-    return found
-
-
-def enumerate_rigid(
-    c: EnumConstraints,
-    *,
-    jobs: int = 1,
-    max_n: int | None = None,
-) -> list[JnfTuple]:
-    """All diagonal tuples meeting the constraints whose defect is
-    ``require_defect`` and whose decision is solvable, deduplicated up to
-    entry permutation, in a deterministic order.
-
-    Candidates are generated within the exact sum-of-squares budget that the
-    defect imposes, which keeps full classification sweeps fast.  ``jobs > 1``
-    shards the first-entry candidates across processes; results are merged
-    and sorted, so the output does not depend on the worker count.
+    They reduce step by step to (1);...;(1) and the step is deterministic, so
+    they form a tree (Katz's algorithm run backwards) that the walk grows up to
+    size ``c.n``, keeping scalar entries as (n).  The step never raises a part,
+    so ``max_first_part`` prunes it.  Outputs are checked with ``solvable_pmv``.
     """
     limit = DEFAULT_MAX_ENUM_N if max_n is None else max_n
     if c.n > limit:
         raise ResourceLimitError(f"n={c.n} exceeds the enumeration guard {limit}")
     if c.num_entries > MAX_ENUM_ENTRIES:
         raise ResourceLimitError(f"at most {MAX_ENUM_ENTRIES} entries supported")
-    cap = c.n if c.max_first_part is None else c.max_first_part
-    firsts = [mv for mv in partitions_of(c.n, cap) if _entry_allowed(mv, c)]
-    found: set[tuple[tuple[int, ...], ...]] = set()
-    if jobs > 1 and len(firsts) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for part in ex.map(_enum_shard, [(f, c) for f in firsts]):
-                found |= part
-    else:
-        for f in firsts:
-            found |= _enum_shard((f, c))
+    found = []
+    stack = [((1,),) * c.num_entries]
+    while stack:
+        node = stack.pop()
+        if c.max_first_part is not None and min(mv[0] for mv in node) > c.max_first_part:
+            continue
+        if sum(node[0]) < c.n:
+            stack.extend(_children(node, c.n))
+        elif not any((c.forbid_scalar and len(mv) == 1) or (c.forbid_all_ones and mv[0] == 1)
+                     for mv in node):
+            if not solvable_pmv(node):
+                raise RuntimeError(f"the tree walk reached {node}, which solvable_pmv rejects")
+            found.append(node)
     return [JnfTuple.from_pmv(mvs) for mvs in sorted(found)]
 
 

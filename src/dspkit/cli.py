@@ -150,7 +150,7 @@ def _cmd_enum_rigid(args) -> int:
         forbid_scalar=args.no_scalar,
         require_defect=args.defect,
     )
-    results = catalog.enumerate_rigid(constraints, jobs=args.jobs, max_n=_max_n_guard())
+    results = catalog.enumerate_rigid(constraints, max_n=_max_n_guard())
     records = catalog.catalog_lines(results)
     if args.json:
         for record in records:
@@ -320,11 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--entries", type=int, required=True)
     p.add_argument("--u", type=int, default=None,
-                   help="cap on the largest part of the first vector")
+                   help="keep tuples with an entry whose parts are all <= U")
     p.add_argument("--no-all-ones", action="store_true")
     p.add_argument("--no-scalar", action="store_true")
-    p.add_argument("--defect", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--defect", type=int, default=2, help="only 2 (rigid) is accepted")
+    p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_enum_rigid)
 
@@ -387,7 +387,7 @@ def main(argv=None) -> int:
     except (ObstructionError, GenerationFailedError, ChainMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
-    except (ValueError, KeyError, json.JSONDecodeError, OSError, DspkitError) as exc:
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError, OSError, DspkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -21,7 +21,7 @@ from operator import add
 from typing import Sequence
 
 from .errors import GenerationFailedError, ObstructionError, ResourceLimitError
-from .jnf import JnfTuple
+from .jnf import JnfTuple, require_key
 
 #: Relation search is a product over per-entry sub-multiplicity vectors; keep
 #: the input size small enough that this stays instant.
@@ -372,11 +372,11 @@ def assignment_to_dict(a: EigenvalueAssignment) -> dict:
 
 def assignment_from_dict(data: dict) -> EigenvalueAssignment:
     entries = tuple(
-        tuple((ExactValue.from_coeff_dict(item["coeffs"]), int(item["mult"]))
-              for item in entry)
-        for entry in data["entries"]
+        tuple((ExactValue.from_coeff_dict(require_key(item, "coeffs")),
+               int(require_key(item, "mult"))) for item in entry)
+        for entry in require_key(data, "entries")
     )
-    return EigenvalueAssignment(data["mode"], entries)
+    return EigenvalueAssignment(require_key(data, "mode"), entries)
 
 
 def witness_to_dict(w: NongenericityWitness) -> dict:

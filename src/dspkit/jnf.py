@@ -139,8 +139,15 @@ def jnf_to_dict(j: Jnf) -> dict:
     return {"eigenvalues": [list(s.parts) for s in j.slots]}
 
 
+def require_key(data: dict, key: str):
+    """``data[key]`` of a parsed JSON object; a missing key is a ValueError naming it."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"missing key {key!r}")
+    return data[key]
+
+
 def jnf_from_dict(data: dict) -> Jnf:
-    return Jnf.from_blocks(data["eigenvalues"])
+    return Jnf.from_blocks(require_key(data, "eigenvalues"))
 
 
 def jnf_tuple_to_dict(t: JnfTuple) -> dict:
@@ -148,7 +155,7 @@ def jnf_tuple_to_dict(t: JnfTuple) -> dict:
 
 
 def jnf_tuple_from_dict(data: dict) -> JnfTuple:
-    t = JnfTuple(tuple(jnf_from_dict(e) for e in data["entries"]))
+    t = JnfTuple(tuple(jnf_from_dict(e) for e in require_key(data, "entries")))
     if "n" in data and int(data["n"]) != t.n:
         raise ValueError(f"declared size {data['n']} does not match entries of size {t.n}")
     return t

@@ -187,7 +187,7 @@ def solvable_pmv(mvs: Sequence[Sequence[int]]) -> bool:
     """Verdict of ``decide`` specialized to diagonal tuples given as raw
     multiplicity vectors (non-increasing int sequences of equal sum).
 
-    Allocation-light; this is the inner loop of the exhaustive enumerator.
+    Allocation-light; the enumerator checks every tuple it emits with it.
     """
     cur = [tuple(m) for m in mvs]
     if len(cur) < 2:

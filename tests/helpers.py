@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 from dspkit import EigenvalueAssignment, ExactValue, Jnf, JnfTuple, partitions_of
+from dspkit.reduction import solvable_pmv
 
 
 def random_partition(rng: random.Random, n: int) -> tuple[int, ...]:
@@ -68,6 +69,34 @@ def all_jnfs(n: int) -> list[Jnf]:
             slots = [blocks for group in pick for blocks in group]
             out.append(Jnf.from_blocks(slots))
     return sorted(set(out), reverse=True)
+
+
+def scan_rigid(n, entries, u=None, no_all_ones=False, no_scalar=False):
+    """Solvable rigid diagonal tuples of size ``n`` by a full scan: canonical
+    multiplicity vectors, sorted.  The first entry runs over the partitions of
+    ``n`` with parts <= ``u``, the middle ones over every allowed combination,
+    and the last over the allowed partitions whose sum of squares brings the
+    defect to 2.  The oracle for ``enumerate_rigid``'s tree walk.
+    """
+    def allowed(mv):
+        return not ((no_scalar and len(mv) == 1) or (no_all_ones and mv[0] == 1))
+
+    pool = [mv for mv in partitions_of(n) if allowed(mv)]
+    by_squares = {}
+    for mv in pool:
+        by_squares.setdefault(sum(x * x for x in mv), []).append(mv)
+    target = 2 + (entries - 2) * n * n
+    found = set()
+    for first in partitions_of(n, n if u is None else u):
+        if not allowed(first):
+            continue
+        for middle in itertools.combinations_with_replacement(pool, entries - 2):
+            s = sum(x * x for mv in (first, *middle) for x in mv)
+            for last in by_squares.get(target - s, ()):
+                tup = (first, *middle, last)
+                if solvable_pmv(tup):
+                    found.add(tuple(sorted(tup, reverse=True)))
+    return sorted(found)
 
 
 def _star_vector(pmv):

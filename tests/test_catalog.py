@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,6 +31,7 @@ from dspkit import (
     series,
     verify_chain,
 )
+from helpers import reduces_to_simple_root, scan_rigid
 
 
 def mv_r(p):
@@ -255,10 +258,16 @@ def test_enumerate_quintuples_n8_empty():
     assert enumerate_rigid(_constraints(8, 5)) == []
 
 
-def test_enumerate_is_deterministic_across_jobs():
-    seq = enumerate_rigid(_constraints(10, 3))
-    par = enumerate_rigid(_constraints(10, 3), jobs=2)
-    assert seq == par
+@pytest.mark.parametrize("entries, max_n", [(2, 8), (3, 12), (4, 10), (5, 8), (6, 8)])
+def test_enumerate_matches_scan(entries, max_n):
+    # the tree walk against the full sum-of-squares scan, with every filter
+    for n in range(1, max_n + 1):
+        for u in (None, 1, 2, 3):
+            for no_all_ones, no_scalar in itertools.product((False, True), repeat=2):
+                got = enumerate_rigid(EnumConstraints(n, entries, u, no_all_ones, no_scalar))
+                want = scan_rigid(n, entries, u, no_all_ones, no_scalar)
+                assert [tuple(mv.parts for mv in t.pmv()) for t in got] == want, \
+                    (n, u, no_all_ones, no_scalar)
 
 
 def test_enumerate_resource_guard():
@@ -276,6 +285,119 @@ def test_rank_sum_over_u2_outputs():
             rs = sorted(e.r for e in t.entries)
             total = sum(rs)
             assert total - (n - 2) in (n, n + 1)
+
+
+#: The u=2 triples (no all-ones, no scalar entry) that no catalog family names,
+#: by size.  They occur only at 6 <= n <= 16.
+SPORADIC_U2_TRIPLES = {
+    6: [
+        "(3,2,1);(3,1,1,1);(2,2,2)",
+    ],
+    7: [
+        "(4,1,1,1);(3,3,1);(2,2,2,1)",
+        "(4,2,1);(3,2,2);(2,2,2,1)",
+        "(4,3);(3,1,1,1,1);(2,2,2,1)",
+    ],
+    8: [
+        "(4,3,1);(4,2,2);(2,2,2,2)",
+        "(4,4);(4,1,1,1,1);(2,2,2,1,1)",
+        "(5,1,1,1);(3,3,2);(2,2,2,2)",
+        "(5,2,1);(3,3,1,1);(2,2,2,2)",
+        "(5,2,1);(3,3,2);(2,2,2,1,1)",
+        "(5,3);(3,2,1,1,1);(2,2,2,2)",
+        "(5,3);(3,2,2,1);(2,2,2,1,1)",
+    ],
+    9: [
+        "(5,2,2);(4,4,1);(2,2,2,2,1)",
+        "(5,4);(4,2,2,1);(2,2,2,2,1)",
+        "(6,1,1,1);(3,3,3);(2,2,2,2,1)",
+        "(6,2,1);(3,3,3);(2,2,2,1,1,1)",
+        "(6,3);(3,2,2,2);(2,2,2,2,1)",
+        "(6,3);(3,3,1,1,1);(2,2,2,2,1)",
+        "(6,3);(3,3,2,1);(2,2,2,1,1,1)",
+        "(6,3);(3,3,3);(2,1,1,1,1,1,1,1)",
+    ],
+    10: [
+        "(5,5);(5,2,1,1,1);(2,2,2,2,2)",
+        "(5,5);(5,2,2,1);(2,2,2,2,1,1)",
+        "(6,3,1);(4,4,2);(2,2,2,2,2)",
+        "(6,4);(4,3,2,1);(2,2,2,2,2)",
+        "(6,4);(4,3,3);(2,2,2,1,1,1,1)",
+        "(7,2,1);(3,3,3,1);(2,2,2,2,2)",
+        "(7,3);(3,3,2,1,1);(2,2,2,2,2)",
+        "(7,3);(3,3,2,2);(2,2,2,2,1,1)",
+        "(7,3);(3,3,3,1);(2,2,2,1,1,1,1)",
+    ],
+    11: [
+        "(6,5);(5,3,3);(2,2,2,2,1,1,1)",
+        "(7,4);(4,4,2,1);(2,2,2,2,2,1)",
+        "(7,4);(4,4,3);(2,2,2,1,1,1,1,1)",
+        "(8,3);(3,3,3,1,1);(2,2,2,2,2,1)",
+        "(8,3);(3,3,3,2);(2,2,2,2,1,1,1)",
+    ],
+    12: [
+        "(6,6);(6,3,2,1);(2,2,2,2,2,2)",
+        "(6,6);(6,3,3);(2,2,2,2,1,1,1,1)",
+        "(7,5);(5,4,3);(2,2,2,2,2,1,1)",
+        "(8,3,1);(4,4,4);(2,2,2,2,2,2)",
+        "(8,4);(4,4,3,1);(2,2,2,2,2,2)",
+        "(8,4);(4,4,4);(2,2,2,1,1,1,1,1,1)",
+        "(9,2,1);(3,3,3,3);(2,2,2,2,2,2)",
+        "(9,3);(3,3,3,2,1);(2,2,2,2,2,2)",
+        "(9,3);(3,3,3,3);(2,2,2,2,1,1,1,1)",
+    ],
+    13: [
+        "(7,6);(6,4,3);(2,2,2,2,2,2,1)",
+        "(8,5);(5,4,4);(2,2,2,2,2,2,1)",
+        "(8,5);(5,5,3);(2,2,2,2,2,1,1,1)",
+        "(9,4);(4,4,4,1);(2,2,2,2,2,2,1)",
+        "(10,3);(3,3,3,3,1);(2,2,2,2,2,2,1)",
+    ],
+    14: [
+        "(7,7);(7,4,3);(2,2,2,2,2,2,1,1)",
+        "(8,6);(6,5,3);(2,2,2,2,2,2,2)",
+        "(9,5);(5,5,4);(2,2,2,2,2,2,1,1)",
+        "(11,3);(3,3,3,3,2);(2,2,2,2,2,2,2)",
+    ],
+    15: [
+        "(9,6);(6,6,3);(2,2,2,2,2,2,2,1)",
+        "(10,5);(5,5,5);(2,2,2,2,2,2,1,1,1)",
+        "(12,3);(3,3,3,3,3);(2,2,2,2,2,2,2,1)",
+    ],
+    16: [
+        "(8,8);(8,5,3);(2,2,2,2,2,2,2,2)",
+    ],
+}
+
+
+def _u2(n, entries):
+    return enumerate_rigid(_constraints(n, entries), max_n=60)
+
+
+def test_u2_triples_named_except_sporadic_table():
+    for n in range(1, 61):
+        res = _u2(n, 3)
+        assert all(reduces_to_simple_root([mv.parts for mv in t.pmv()]) for t in res), n
+        unnamed = [str(t) for t in res if not identify(t)]
+        assert unnamed == SPORADIC_U2_TRIPLES.get(n, []), n
+        if n >= 17:
+            assert len(res) == (11 if n % 2 == 0 else 7), n
+    assert [len(v) for v in SPORADIC_U2_TRIPLES.values()] == [1, 3, 7, 8, 9, 5, 9, 5, 4, 3, 1]
+
+
+def test_u2_quadruples_named_except_05b_family():
+    for n in range(1, 41):
+        res = _u2(n, 4)
+        assert all(reduces_to_simple_root([mv.parts for mv in t.pmv()]) for t in res), n
+        unnamed = [t for t in res if not identify(t)]
+        if n % 2 == 0 and n >= 6:
+            h = n // 2
+            extra = ((n - 1, 1), (n - 1, 1), (2,) * h, (2,) * (h - 1) + (1, 1))
+            assert unnamed == [JnfTuple.from_pmv(extra)], n
+        else:
+            assert unnamed == [], n
+        want = {1: 0, 2: 0, 3: 1, 4: 2, 6: 4}.get(n, 3 if n % 2 == 0 else 2)
+        assert len(res) == want, n
 
 
 def test_catalog_lines_shape():

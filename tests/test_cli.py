@@ -74,6 +74,26 @@ def test_parse_error_exit_code(capsys):
     assert code == 2 and err
 
 
+def test_wrong_json_shape_exits_2(capsys):
+    for argv in (["generic-check", "[1]"],
+                 ["generic-check", '{"mode":"additive","entries":5}'],
+                 ["decide", "--jnf", "5"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
+
+
+def test_missing_json_key_is_named(tmp_path, capsys):
+    code, _, err = run(capsys, "decide", "--jnf", '{"n":3}')
+    assert code == 2 and err.strip() == "error: missing key 'entries'"
+    code, _, err = run(capsys, "decide", "--jnf", '{"entries":[{}, {}]}')
+    assert code == 2 and err.strip() == "error: missing key 'eigenvalues'"
+    path = tmp_path / "batch.jsonl"
+    path.write_text('{"n":3}\n', encoding="utf-8")
+    code, out, _ = run(capsys, "decide", "--file", str(path))
+    assert code == 2 and json.loads(out) == {"line": 1, "error": "missing key 'entries'"}
+
+
 def test_trace_text(capsys):
     code, out, _ = run(capsys, "trace", "(3,2,2);(3,2,2);(3,2,2)")
     assert code == 0
@@ -112,6 +132,12 @@ def test_enum_rigid_resource_guard(capsys, monkeypatch):
     code, _, _ = run(capsys, "enum-rigid", "--n", "41", "--entries", "2",
                      "--u", "1", "--no-scalar")
     assert code == 0
+
+
+def test_enum_rigid_rejects_other_defects(capsys):
+    code, out, err = run(capsys, "enum-rigid", "--n", "6", "--entries", "3", "--defect", "4")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_series_and_chain(capsys):
