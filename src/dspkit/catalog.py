@@ -384,7 +384,10 @@ _SUCCESSORS: dict[str, _Succ] = {
 @dataclass(frozen=True)
 class ChainStep:
     label: str
-    state: JnfTuple
+    mvs: tuple[Partition, ...]
+
+    def __str__(self) -> str:
+        return ";".join(map(str, self.mvs))
 
 
 def expected_chain(sid: SeriesId | str) -> list[ChainStep]:
@@ -394,16 +397,15 @@ def expected_chain(sid: SeriesId | str) -> list[ChainStep]:
     chain: list[ChainStep] = []
     cur: SeriesId | None = sid
     while cur is not None:
-        inst = series(cur)
-        chain.append(ChainStep(str(cur), inst))
-        if inst.n == 1:
+        mvs = series_mvs(cur)
+        chain.append(ChainStep(str(cur), mvs))
+        if mvs[0].size == 1:
             break
         nxt = _SUCCESSORS[cur.name](cur.param)
         if nxt is None:
             break
         if isinstance(nxt, int):
-            ones = JnfTuple.from_pmv([(1,)] * nxt)
-            chain.append(ChainStep(str(ones), ones))
+            chain.append(ChainStep(";".join(["(1)"] * nxt), (Partition((1,)),) * nxt))
             break
         cur = nxt
     return chain
@@ -418,14 +420,15 @@ def verify_chain(sid: SeriesId | str) -> list[str]:
     if isinstance(sid, str):
         sid = parse_series_id(sid)
     expected = expected_chain(sid)
-    trace = decide(expected[0].state)
+    trace = decide(JnfTuple.from_pmv(expected[0].mvs))
     if len(trace.steps) != len(expected):
         raise ChainMismatchError(
             f"{sid}: trace has {len(trace.steps)} steps, chain expects {len(expected)}")
     for i, (step, exp) in enumerate(zip(trace.steps, expected)):
-        if canonical_form(step.state) != canonical_form(exp.state):
+        if not (step.state.is_diagonal
+                and tuple(sorted(step.state.pmv(), reverse=True)) == exp.mvs):
             raise ChainMismatchError(
-                f"{sid}: step {i} is {step.state}, expected {exp.label} = {exp.state}")
+                f"{sid}: step {i} is {step.state}, expected {exp.label} = {exp}")
     if not trace.verdict.solvable:
         raise ChainMismatchError(f"{sid}: chain ran but verdict is not solvable")
     return [c.label for c in expected]

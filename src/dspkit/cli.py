@@ -185,7 +185,7 @@ def _cmd_chain(args) -> int:
     if args.json:
         _emit_json({"id": str(sid),
                     "chain": labels,
-                    "states": [str(s.state) for s in steps]})
+                    "states": [str(step) for step in steps]})
     else:
         print(" -> ".join(labels))
     return EXIT_OK

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable
 
 from .errors import ResourceLimitError
@@ -22,7 +21,11 @@ ORACLE_MAX_SIZE = 8
 
 @dataclass(frozen=True, order=True)
 class Jnf:
-    """Jordan block sizes grouped by eigenvalue slot, canonically ordered."""
+    """Jordan block sizes grouped by eigenvalue slot, canonically ordered.
+
+    Also carries the size ``n``, the rank ``r``, the class dimension ``d`` and
+    ``is_diagonal``, computed on construction.
+    """
 
     slots: tuple[Partition, ...]
 
@@ -33,6 +36,17 @@ class Jnf:
             raise ValueError("a Jordan shape needs at least one eigenvalue slot")
         if any(not s.parts for s in slots):
             raise ValueError("every eigenvalue slot must carry at least one block")
+        # n, r, d and is_diagonal are read for every state of a decision, so they
+        # are computed once, as plain attributes: equality, hashing and ordering
+        # see only the slots.  r is n minus the maximal block count of one slot.
+        # d is n^2 minus the centralizer dimension, the sum over slots of the
+        # squared conjugate parts, which is sum((2i+1) * p_i) with i from 0.
+        n = sum(s.size for s in slots)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", n - max(len(s.parts) for s in slots))
+        object.__setattr__(self, "d", n * n - sum(
+            (2 * i + 1) * p for s in slots for i, p in enumerate(s.parts)))
+        object.__setattr__(self, "is_diagonal", all(s.parts[0] == 1 for s in slots))
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Jnf":
@@ -43,29 +57,10 @@ class Jnf:
         mv = mv if isinstance(mv, Partition) else normalize(mv)
         return cls(tuple(Partition((1,) * m) for m in mv.parts))
 
-    @cached_property
-    def n(self) -> int:
-        return sum(s.size for s in self.slots)
-
-    @cached_property
-    def r(self) -> int:
-        """n minus the maximal number of blocks attached to one eigenvalue."""
-        return self.n - max(len(s) for s in self.slots)
-
-    @cached_property
-    def d(self) -> int:
-        """Dimension of the conjugacy class: n^2 minus the centralizer dimension."""
-        n = self.n
-        return n * n - sum(c * c for s in self.slots for c in dual(s).parts)
-
-    @cached_property
-    def is_diagonal(self) -> bool:
-        return all(s.parts[0] == 1 for s in self.slots)
-
     def multiplicity_vector(self) -> Partition:
         if not self.is_diagonal:
             raise ValueError("only diagonal shapes have a multiplicity vector")
-        return Partition(tuple(len(s) for s in self.slots))
+        return Partition(tuple(len(s.parts) for s in self.slots))
 
     def eigenvalue_multiplicities(self) -> tuple[int, ...]:
         """Total size per eigenvalue slot, in canonical slot order."""

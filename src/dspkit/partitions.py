@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 #: Hard cap on partition size; keeps n**2 arithmetic trivially safe everywhere.
@@ -12,7 +11,10 @@ MAX_SIZE = 10_000
 
 @dataclass(frozen=True, order=True)
 class Partition:
-    """A non-increasing tuple of positive integers.  The empty partition is allowed."""
+    """A non-increasing tuple of positive integers.  The empty partition is allowed.
+
+    ``size``, the sum of the parts, is computed on construction.
+    """
 
     parts: tuple[int, ...] = ()
 
@@ -30,10 +32,7 @@ class Partition:
             total += x
         if total > MAX_SIZE:
             raise ValueError(f"partition size {total} exceeds the cap {MAX_SIZE}")
-
-    @cached_property
-    def size(self) -> int:
-        return sum(self.parts)
+        object.__setattr__(self, "size", total)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)

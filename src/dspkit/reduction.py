@@ -115,8 +115,8 @@ def psi_step(
     k = n - n1
     new_entries = []
     for idx, e in enumerate(t.entries):
-        max_count = max(len(s) for s in e.slots)
-        candidates = [i for i, s in enumerate(e.slots) if len(s) == max_count]
+        max_count = max(len(s.parts) for s in e.slots)
+        candidates = [i for i, s in enumerate(e.slots) if len(s.parts) == max_count]
         chosen = candidates[0] if slot_choice is None else slot_choice(idx, candidates)
         if chosen not in candidates:
             raise PreconditionError("slot_choice must pick a maximal-count slot")

@@ -230,7 +230,7 @@ def test_chain_mismatch_is_detected(monkeypatch):
     import dspkit.catalog as cat
 
     monkeypatch.setitem(cat._SUCCESSORS, "W", lambda k: cat.SeriesId("S", k))
-    with pytest.raises(ChainMismatchError):
+    with pytest.raises(ChainMismatchError, match=r"^W_1: step 1 is .*, expected S_1 = "):
         verify_chain("W_1")
 
 

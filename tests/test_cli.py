@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from dspkit.cli import main
@@ -147,6 +148,25 @@ def test_series_and_chain(capsys):
     assert code == 0 and out.strip() == "W_2 -> B_2 -> W_1 -> B_1 -> W_0"
     code, _, err = run(capsys, "series", "R_1")
     assert code == 2 and err
+
+
+def test_chain_json_is_byte_stable(capsys):
+    code, out, _ = run(capsys, "chain", "Xi_8", "--json")
+    assert code == 0
+    assert out == ('{"chain":["Xi_8","Pi_7","Pi_5","Pi_3","S_0"],"id":"Xi_8","states":'
+                   '["(7,1);(4,4);(4,4);(2,2,2,2)","(6,1);(4,3);(4,3);(2,2,2,1)",'
+                   '"(4,1);(3,2);(3,2);(2,2,1)","(2,1);(2,1);(2,1);(2,1)","(1);(1);(1);(1)"]}\n')
+    code, out, _ = run(capsys, "chain", "T_1", "--json")
+    assert code == 0
+    assert out == ('{"chain":["T_1","(1);(1);(1);(1);(1)"],"id":"T_1","states":'
+                   '["(3,1);(3,1);(3,1);(3,1);(3,1)","(1);(1);(1);(1);(1)"]}\n')
+
+
+def test_catalog_verify_chains_json_is_byte_stable(capsys):
+    code, out, _ = run(capsys, "catalog-verify", "--max-n", "30", "--chains", "--json")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "97b1ed486ccb36c40ce4880c9f795a37222ad04be5b3664551c215d9eb976d8d")
 
 
 def test_dual_commands(capsys):

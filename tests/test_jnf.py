@@ -7,6 +7,7 @@ from dspkit import (
     centralizer_dim_oracle,
     corresponding_diagonal,
     diagonalized,
+    dual,
     jnf_tuple_from_dict,
     jnf_tuple_to_dict,
     parse_pmv,
@@ -54,6 +55,13 @@ def test_r_d_preserved_by_correspondence_exhaustive():
             diag = Jnf.diagonal(corresponding_diagonal(j))
             assert diag.r == j.r
             assert diag.d == j.d
+
+
+def test_d_matches_conjugate_definition_exhaustive():
+    # d is n^2 minus the squared parts of every slot's conjugate partition
+    for n in range(1, 13):
+        for j in all_jnfs(n):
+            assert j.d == n * n - sum(c * c for s in j.slots for c in dual(s).parts), j
 
 
 def test_d_even_and_bounded_exhaustive():

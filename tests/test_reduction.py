@@ -16,7 +16,7 @@ from dspkit import (
     psi_step,
     solvable_pmv,
 )
-from helpers import is_positive_root, random_jnf_tuple, random_pmv
+from helpers import all_jnfs, is_positive_root, random_jnf_tuple, random_pmv
 
 
 def test_conditions_hypergeometric_triple():
@@ -175,6 +175,20 @@ def test_solvable_pmv_matches_root_oracle_exhaustive():
                 assert solvable_pmv(pmv) == is_positive_root(pmv), pmv
                 count += 1
     assert count == 66973
+
+
+def test_decide_matches_root_oracle_on_jordan_tuples_exhaustive():
+    # every 2- and 3-entry tuple of shapes with n <= 5, non-diagonal ones
+    # included, against Kac's root test on the corresponding diagonal tuple
+    count = 0
+    for n in range(1, 6):
+        shapes = all_jnfs(n)
+        for entries in (2, 3):
+            for combo in itertools.combinations_with_replacement(shapes, entries):
+                t = JnfTuple(combo)
+                assert decide(t).solvable == is_positive_root(diagonalized(t).pmv()), t
+                count += 1
+    assert count == 4792
 
 
 def test_u2_equivalence_small():
