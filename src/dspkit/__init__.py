@@ -24,7 +24,6 @@ from .catalog import (
 from .errors import (
     ChainMismatchError,
     DspkitError,
-    GenerationFailedError,
     ObstructionError,
     PreconditionError,
     ResourceLimitError,

@@ -4,7 +4,9 @@ and genericity checks, with stable text and JSON output.
 Verdicts are data, not exit codes: a NotSolvable decision still exits 0.  A
 failed check or construction exits 1 (a catalog-verify failure, a chain
 mismatch, an obstructed generic-gen), malformed input exits 2, and an exceeded
-resource guard exits 3.
+resource guard exits 3.  generic-gen certifies its assignment in closed form,
+so unlike generic-check it has no size guard; its --seed, like enum-rigid's
+--jobs, is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from . import catalog
 from .errors import (
     ChainMismatchError,
     DspkitError,
-    GenerationFailedError,
     ObstructionError,
     ResourceLimitError,
 )
@@ -250,8 +251,7 @@ def _cmd_generic_check(args) -> int:
 
 def _cmd_generic_gen(args) -> int:
     t = _tuple_from_args(args)
-    a = generate_generic(t, args.mode, args.seed,
-                         product_exponent=args.product_exponent)
+    a = generate_generic(t, args.mode, product_exponent=args.product_exponent)
     _emit_json(assignment_to_dict(a))
     return EXIT_OK
 
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generic-gen", help="generate a certified-generic assignment")
     add_tuple_args(p)
     p.add_argument("--mode", choices=["additive", "multiplicative"], default="additive")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted; has no effect")
     p.add_argument("--product-exponent", type=int, default=1)
     p.set_defaults(func=_cmd_generic_gen)
 
@@ -384,7 +384,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ObstructionError, GenerationFailedError, ChainMismatchError) as exc:
+    except (ObstructionError, ChainMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
     except (ValueError, KeyError, TypeError, json.JSONDecodeError, OSError, DspkitError) as exc:

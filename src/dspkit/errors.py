@@ -26,11 +26,8 @@ class ChainMismatchError(DspkitError):
 
 
 class ObstructionError(DspkitError):
-    """No generic eigenvalue assignment can exist for the requested mode."""
-
-
-class GenerationFailedError(DspkitError):
-    """Assignment generation exhausted its retry budget."""
+    """No generic eigenvalue assignment can exist for the requested mode;
+    ``witness``, when given, is a relation every such assignment satisfies."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

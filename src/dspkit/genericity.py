@@ -14,20 +14,17 @@ or non-integral (multiplicative).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Sequence
 
-from .errors import GenerationFailedError, ObstructionError, ResourceLimitError
+from .errors import ObstructionError, ResourceLimitError
 from .jnf import JnfTuple, require_key
 
 #: Relation search is a product over per-entry sub-multiplicity vectors; keep
 #: the input size small enough that this stays instant.
 GENERIC_CHECK_MAX_N = 14
-
-_MAX_ATTEMPTS = 8
 
 
 @dataclass(frozen=True)
@@ -287,24 +284,19 @@ def candidate_assignment(
     t: JnfTuple,
     mode: str = "additive",
     *,
-    offsets: Sequence[Fraction] | None = None,
     product_exponent: int = 1,
 ) -> EigenvalueAssignment:
     """The canonical trace-balanced assignment for ``t``, without validation.
 
     Every eigenvalue slot except the last slot of the last entry gets a fresh
-    formal basis element (plus an optional rational offset); the last slot is
-    solved from the trace condition.  In multiplicative mode the weighted sum
-    is set to ``product_exponent`` (an integer, so the product is 1); when the
-    multiplicities share a gcd g, the product over g-fold smaller
-    multiplicities is then a primitive g-th root of unity iff
-    gcd(product_exponent, g) == 1.
+    formal basis element; the last slot is solved from the trace condition.
+    In multiplicative mode the weighted sum is set to ``product_exponent`` (an
+    integer, so the product is 1); when the multiplicities share a gcd g, the
+    product over g-fold smaller multiplicities is then a primitive g-th root
+    of unity iff gcd(product_exponent, g) == 1.
     """
     mult_lists = [e.eigenvalue_multiplicities() for e in t.entries]
     free = sum(len(m) for m in mult_lists) - 1
-    offs = list(offsets) if offsets is not None else [Fraction(0)] * free
-    if len(offs) != free:
-        raise ValueError(f"need {free} offsets, got {len(offs)}")
     target = ExactValue.rational(0 if mode == "additive" else product_exponent)
     entries: list[list[tuple[ExactValue, int]]] = []
     basis = 0
@@ -313,51 +305,50 @@ def candidate_assignment(
         entries.append([])
         for m in mults:
             if basis < free:
-                value = ExactValue.basis(basis + 1) + ExactValue.rational(offs[basis])
                 basis += 1
+                value = ExactValue.basis(basis)
                 acc = acc + value.scaled(m)
-                entries[-1].append((value, m))
             else:
                 value = (target - acc).scaled(Fraction(1, m))
-                entries[-1].append((value, m))
+            entries[-1].append((value, m))
     return EigenvalueAssignment(mode, tuple(tuple(e) for e in entries))
 
 
 def generate_generic(
     t: JnfTuple,
     mode: str = "additive",
-    seed: int = 0,
     *,
     product_exponent: int = 1,
 ) -> EigenvalueAssignment:
-    """A certified-generic assignment for ``t``, deterministic in ``seed``.
+    """``candidate_assignment(t, mode, product_exponent=...)``, certified
+    generic in closed form, or ``ObstructionError`` carrying the smallest
+    relation (the one ``nongenericity_witness`` reports).
 
-    Raises ``ObstructionError`` in additive mode when the multiplicity gcd is
-    >= 2, and ``GenerationFailedError`` (carrying the last witness) if every
-    seeded retry is rejected.
+    Let m be the multiplicities, g their gcd, and T the weighted total of the
+    values: 0 (additive) or ``product_exponent`` (multiplicative).  In the
+    candidate every slot but the last, of multiplicity m_L, holds a fresh t_b,
+    so a selection c has formal part sum_b (c_b - c_L * m_b / m_L) * t_b.  It
+    vanishes only when c = lam * m on every slot; c is integral with
+    1 <= kappa <= n - 1 exactly when lam = a/g with 0 < a < g.  The constant
+    part of such a selection is lam * T = a*T/g, in every trace-balanced
+    assignment.  A relation needs a*T/g to be zero (additive) or integral
+    (multiplicative), i.e. g/h divides a with h = gcd(g, T); additive T = 0
+    gives h = g.  So the candidate is generic iff h = 1, and otherwise the
+    smallest relation has a = g/h: kappa = n/h and choice m/h.
     """
-    if mode == "additive":
-        g = gcd_obstruction(t)
-        if g is not None:
-            raise ObstructionError(
-                f"multiplicity gcd {g} rules out additive generic eigenvalues")
-    rng = random.Random(seed)
-    free = sum(len(e.eigenvalue_multiplicities()) for e in t.entries) - 1
-    last_witness = None
-    for attempt in range(_MAX_ATTEMPTS):
-        if attempt == 0:
-            offsets = [Fraction(0)] * free
-        else:
-            offsets = [Fraction(rng.randrange(-4096, 4097), 4096) for _ in range(free)]
-        a = candidate_assignment(t, mode, offsets=offsets, product_exponent=product_exponent)
-        witness = nongenericity_witness(a)
-        if witness is None:
-            if not trace_condition(a):
-                raise RuntimeError(f"generated assignment for {t} breaks the trace condition")
-            return a
-        last_witness = witness
-    raise GenerationFailedError("no generic assignment found within the retry budget",
-                                witness=last_witness)
+    a = candidate_assignment(t, mode, product_exponent=product_exponent)
+    if not trace_condition(a):
+        raise RuntimeError(f"generated assignment for {t} breaks the trace condition")
+    g = gcd_obstruction(t) or 1
+    target = 0 if mode == "additive" else product_exponent
+    h = math.gcd(g, target)
+    if h > 1:
+        choice = tuple(tuple(m // h for m in entry) for entry in a.multiplicities())
+        raise ObstructionError(
+            f"multiplicity gcd {g} and trace target {target} share the factor {h}, "
+            f"which rules out {mode} generic eigenvalues",
+            witness=NongenericityWitness(a.n // h, choice, _selection_total(a, choice)))
+    return a
 
 
 def assignment_to_dict(a: EigenvalueAssignment) -> dict:

@@ -1,7 +1,9 @@
 import hashlib
 import json
 
+from dspkit.catalog import series
 from dspkit.cli import main
+from dspkit.genericity import assignment_from_dict, trace_condition
 
 
 def run(capsys, *argv):
@@ -197,6 +199,40 @@ def test_generic_gen_and_check_round_trip(tmp_path, capsys):
 def test_generic_gen_obstruction(capsys):
     code, _, err = run(capsys, "generic-gen", "(2,2);(2,2);(2,2)")
     assert code == 1 and "gcd" in err
+    code, out, err = run(capsys, "generic-gen", "(2,2);(2,2);(2,2)", "--mode", "multiplicative",
+                         "--product-exponent", "2")
+    assert code == 1 and out == "" and "gcd" in err
+
+
+def test_generic_gen_is_byte_stable_and_ignores_seed(capsys):
+    cases = [
+        ([str(series("HG_10"))],
+         "b55771392396972c9b7920c7302f045cf68e3e77cf7ffcae86c735f33aab0e78"),
+        ([str(series("HG_10")), "--mode", "multiplicative"],
+         "7eeb07dd5b5cf7c62c939a1077e437a7f9be6484ba5538559452a34536b34855"),
+        ([str(series("Xi_12"))],
+         "c3c9547b311851dad2b5a8852d8fab4e42c6e0e9e7db929a9f912e87ce6bb8d7"),
+        ([str(series("Xi_12")), "--mode", "multiplicative"],
+         "dea506c4b33167f6688e86eb66436d076551bfbdbaf3df5cd3e29bc2bccd6d5b"),
+        (["(1,1);(1,1);(1,1)", "--mode", "multiplicative", "--product-exponent", "3"],
+         "3cf976097ddcb3602845f9132a3a16ea9097fb823a1902fb2cc028074972ad55"),
+    ]
+    for argv, digest in cases:
+        code, out, _ = run(capsys, "generic-gen", *argv, "--seed", "0")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        assert run(capsys, "generic-gen", *argv, "--seed", "7919") == (0, out, "")
+
+
+def test_generic_gen_beyond_search_cap(tmp_path, capsys):
+    # generation needs no search, so it works past the n <= 14 check guard
+    code, out, _ = run(capsys, "generic-gen", str(series("HG_15")))
+    assert code == 0
+    assert trace_condition(assignment_from_dict(json.loads(out)))
+    path = tmp_path / "assignment.json"
+    path.write_text(out, encoding="utf-8")
+    code, _, err = run(capsys, "generic-check", "--file", str(path))
+    assert code == 3 and "n <= 14" in err
 
 
 def test_generic_check_witness(capsys):

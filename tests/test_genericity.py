@@ -7,7 +7,6 @@ import pytest
 from dspkit import (
     EigenvalueAssignment,
     ExactValue,
-    GenerationFailedError,
     Jnf,
     JnfTuple,
     ObstructionError,
@@ -19,6 +18,7 @@ from dspkit import (
     generate_generic,
     is_generic,
     nongenericity_witness,
+    partitions_of,
     series,
     trace_condition,
     weighted_total,
@@ -45,9 +45,9 @@ def test_exact_value_dict_round_trip():
 
 def test_trace_condition_modes():
     t = series("HG_2")
-    a = generate_generic(t, "additive", seed=3)
+    a = generate_generic(t, "additive")
     assert trace_condition(a) and weighted_total(a).is_zero
-    m = generate_generic(t, "multiplicative", seed=3)
+    m = generate_generic(t, "multiplicative")
     assert trace_condition(m)
     assert weighted_total(m).const == 1
 
@@ -83,7 +83,7 @@ def test_explicit_relation_is_found():
 
 def test_generated_assignments_validate():
     for sid in ["HG_2", "HG_3", "HG_4", "W_2", "Xi_8"]:
-        a = generate_generic(series(sid), "additive", seed=7)
+        a = generate_generic(series(sid), "additive")
         assert trace_condition(a)
         assert is_generic(a)
 
@@ -120,14 +120,39 @@ def test_additive_obstruction_error():
 def test_multiplicative_primitive_vs_not():
     variant = JnfTuple((Jnf.diagonal((2, 2, 2)), Jnf.diagonal((2, 2, 2)),
                         Jnf.from_blocks([[3, 2, 1]])))
-    good = generate_generic(variant, "multiplicative", seed=0, product_exponent=1)
+    good = generate_generic(variant, "multiplicative", product_exponent=1)
     assert trace_condition(good) and is_generic(good)
     bad = candidate_assignment(variant, "multiplicative", product_exponent=0)
     w = nongenericity_witness(bad)
     assert w is not None and w.kappa == 3
-    with pytest.raises(GenerationFailedError) as err:
-        generate_generic(variant, "multiplicative", seed=0, product_exponent=2)
-    assert err.value.witness is not None
+    with pytest.raises(ObstructionError) as err:
+        generate_generic(variant, "multiplicative", product_exponent=2)
+    w = err.value.witness
+    assert w.kappa == 3
+    assert w.sub_multiplicities == ((1, 1, 1), (1, 1, 1), (3,))
+    assert w.total == ExactValue.rational(1)
+
+
+def test_closed_form_certificate_matches_search():
+    # generate_generic decides genericity without searching; the search is the oracle
+    outcomes = {True: 0, False: 0}
+    modes = [("additive", 1)] + [("multiplicative", e) for e in range(4)]
+    for n in range(1, 7):
+        for size in (2, 3):
+            for mvs in itertools.combinations_with_replacement(partitions_of(n), size):
+                t = JnfTuple.from_pmv(mvs)
+                for mode, exponent in modes:
+                    a = candidate_assignment(t, mode, product_exponent=exponent)
+                    want = nongenericity_witness(a)
+                    try:
+                        got = generate_generic(t, mode, product_exponent=exponent)
+                    except ObstructionError as err:
+                        assert want is not None and err.witness == want, (t, mode, exponent)
+                    else:
+                        assert got == a and want is None, (t, mode, exponent)
+                    outcomes[want is None] += 1
+    # both verdicts occur, so neither branch is tested vacuously
+    assert min(outcomes.values()) > 100
 
 
 def test_additive_relation_implies_multiplicative():
@@ -248,7 +273,7 @@ def test_check_guard():
 
 
 def test_assignment_json_round_trip():
-    a = generate_generic(series("HG_3"), "additive", seed=5)
+    a = generate_generic(series("HG_3"), "additive")
     data = assignment_to_dict(a)
     assert assignment_from_dict(data) == a
 
