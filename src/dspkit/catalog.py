@@ -411,16 +411,21 @@ def expected_chain(sid: SeriesId | str) -> list[ChainStep]:
     return chain
 
 
-def verify_chain(sid: SeriesId | str) -> list[str]:
-    """Run the decision on the instance and match its trace against the chain.
+def verify_chain(sid: SeriesId | str) -> list[ChainStep]:
+    """Check the instance's defect, run the decision on it and match its trace
+    against the chain.
 
-    Returns the symbolic labels; raises ``ChainMismatchError`` on the first
-    step whose state differs from the expected instance.
+    Returns the checked ``ChainStep``s; raises ``ChainMismatchError`` on a
+    defect other than 2, on the first step whose state differs from the
+    expected instance, or on a non-solvable verdict.
     """
     if isinstance(sid, str):
         sid = parse_series_id(sid)
     expected = expected_chain(sid)
-    trace = decide(JnfTuple.from_pmv(expected[0].mvs))
+    t = JnfTuple.from_pmv(expected[0].mvs)
+    if not is_rigid(t):
+        raise ChainMismatchError(f"{sid}: defect is {defect(t)}, not 2")
+    trace = decide(t)
     if len(trace.steps) != len(expected):
         raise ChainMismatchError(
             f"{sid}: trace has {len(trace.steps)} steps, chain expects {len(expected)}")
@@ -431,7 +436,7 @@ def verify_chain(sid: SeriesId | str) -> list[str]:
                 f"{sid}: step {i} is {step.state}, expected {exp.label} = {exp}")
     if not trace.verdict.solvable:
         raise ChainMismatchError(f"{sid}: chain ran but verdict is not solvable")
-    return [c.label for c in expected]
+    return expected
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +450,10 @@ class EnumConstraints:
     max_first_part: int | None = None
     forbid_all_ones: bool = False
     forbid_scalar: bool = False
-    require_defect: int = 2
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.num_entries < 2:
             raise ValueError("need n >= 1 and at least two entries")
-        if self.require_defect != 2:
-            raise ValueError(f"only defect 2 (rigid) can be enumerated, not {self.require_defect}")
 
 
 def _children(parent: tuple[tuple[int, ...], ...], max_n: int) -> set[tuple[tuple[int, ...], ...]]:

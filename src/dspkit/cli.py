@@ -38,7 +38,7 @@ from .jnf import (
     jnf_tuple_from_dict,
     parse_pmv,
 )
-from .partitions import parse_partition
+from .partitions import dual, parse_partition
 from .reduction import decide, trace_to_dict
 
 EXIT_OK = 0
@@ -143,13 +143,14 @@ def _max_n_guard() -> int:
 
 
 def _cmd_enum_rigid(args) -> int:
+    if args.defect != 2:
+        raise ValueError(f"only defect 2 (rigid) can be enumerated, not {args.defect}")
     constraints = catalog.EnumConstraints(
         n=args.n,
         num_entries=args.entries,
         max_first_part=args.u,
         forbid_all_ones=args.no_all_ones,
         forbid_scalar=args.no_scalar,
-        require_defect=args.defect,
     )
     results = catalog.enumerate_rigid(constraints, max_n=_max_n_guard())
     records = catalog.catalog_lines(results)
@@ -181,8 +182,8 @@ def _cmd_series(args) -> int:
 
 def _cmd_chain(args) -> int:
     sid = catalog.parse_series_id(args.id)
-    labels = catalog.verify_chain(sid)
-    steps = catalog.expected_chain(sid)
+    steps = catalog.verify_chain(sid)
+    labels = [step.label for step in steps]
     if args.json:
         _emit_json({"id": str(sid),
                     "chain": labels,
@@ -196,8 +197,6 @@ def _cmd_dual(args) -> int:
     if bool(args.partition) == bool(args.jnf):
         raise ValueError("provide exactly one of --partition, --jnf")
     if args.partition:
-        from .partitions import dual
-
         result = dual(parse_partition(args.partition))
     else:
         result = corresponding_diagonal(jnf_from_dict(json.loads(args.jnf)))
@@ -260,21 +259,21 @@ def _cmd_catalog_verify(args) -> int:
     per_family: dict[str, dict] = {}
     failures = []
     for sid in catalog.all_series_ids(args.max_n):
-        t = catalog.series(sid)
-        ok = catalog.defect(t) == 2
-        if ok and args.chains:
-            # verify_chain runs decide and fails on a non-solvable verdict
+        failure = None
+        if args.chains:
             try:
-                catalog.verify_chain(sid)
+                catalog.verify_chain(sid)  # checks the defect, every step and the verdict
             except ChainMismatchError as exc:
-                ok = False
-                failures.append(str(exc))
-        elif not (ok and decide(t).solvable):
-            ok = False
-            failures.append(f"{sid}: defect or verdict check failed")
+                failure = str(exc)
+        else:
+            t = catalog.series(sid)
+            if not (catalog.is_rigid(t) and decide(t).solvable):
+                failure = f"{sid}: defect or verdict check failed"
+        if failure:
+            failures.append(failure)
         stats = per_family.setdefault(sid.name, {"instances": 0, "ok": 0})
         stats["instances"] += 1
-        stats["ok"] += int(ok)
+        stats["ok"] += int(failure is None)
     payload = {"families": per_family, "failures": failures,
                "all_ok": not failures}
     if args.json:

@@ -83,10 +83,14 @@ class ExactValue:
         return out
 
     @classmethod
-    def from_coeff_dict(cls, data: dict[str, str]) -> "ExactValue":
+    def from_coeff_dict(cls, data: dict[str, str | int]) -> "ExactValue":
+        if not isinstance(data, dict):
+            raise ValueError(f"coefficients must be a JSON object, not {data!r}")
         const = Fraction(0)
         formal = []
         for key, val in data.items():
+            if type(val) not in (int, str):
+                raise ValueError(f"coefficient {val!r} is not a string such as \"1/10\" or an int")
             if key == "1":
                 const = Fraction(val)
             elif key.startswith("t"):
@@ -111,14 +115,14 @@ class EigenvalueAssignment:
     def __post_init__(self) -> None:
         if self.mode not in ("additive", "multiplicative"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        entries = tuple(tuple((v, int(m)) for v, m in entry) for entry in self.entries)
+        entries = tuple(tuple(entry) for entry in self.entries)
         object.__setattr__(self, "entries", entries)
         if len(entries) < 2:
             raise ValueError("need at least two entries")
         sizes = set()
         for entry in entries:
-            if any(m < 1 for _, m in entry):
-                raise ValueError("multiplicities must be positive")
+            if not all(type(m) is int and m >= 1 for _, m in entry):
+                raise ValueError("multiplicities must be positive integers")
             vals = [v for v, _ in entry]
             if len(vals) != len(set(vals)):
                 raise ValueError("eigenvalues within one entry must be distinct")
@@ -364,7 +368,7 @@ def assignment_to_dict(a: EigenvalueAssignment) -> dict:
 def assignment_from_dict(data: dict) -> EigenvalueAssignment:
     entries = tuple(
         tuple((ExactValue.from_coeff_dict(require_key(item, "coeffs")),
-               int(require_key(item, "mult"))) for item in entry)
+               require_key(item, "mult")) for item in entry)
         for entry in require_key(data, "entries")
     )
     return EigenvalueAssignment(require_key(data, "mode"), entries)

@@ -98,8 +98,6 @@ class JnfTuple:
         sizes = {e.n for e in entries}
         if len(sizes) != 1:
             raise ValueError(f"entries disagree on size: {sorted(sizes)}")
-        if entries[0].n < 1:
-            raise ValueError("size must be at least 1")
 
     @classmethod
     def from_pmv(cls, mvs: Iterable[Partition | Iterable[int]]) -> "JnfTuple":
@@ -151,8 +149,8 @@ def jnf_tuple_to_dict(t: JnfTuple) -> dict:
 
 def jnf_tuple_from_dict(data: dict) -> JnfTuple:
     t = JnfTuple(tuple(jnf_from_dict(e) for e in require_key(data, "entries")))
-    if "n" in data and int(data["n"]) != t.n:
-        raise ValueError(f"declared size {data['n']} does not match entries of size {t.n}")
+    if "n" in data and (type(data["n"]) is not int or data["n"] != t.n):
+        raise ValueError(f"declared size {data['n']!r} does not match entries of size {t.n}")
     return t
 
 

@@ -11,7 +11,8 @@ MAX_SIZE = 10_000
 
 @dataclass(frozen=True, order=True)
 class Partition:
-    """A non-increasing tuple of positive integers.  The empty partition is allowed.
+    """A non-increasing tuple of positive ints (no ``bool`` or ``float``).  The
+    empty partition is allowed.
 
     ``size``, the sum of the parts, is computed on construction.
     """
@@ -19,12 +20,12 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(int(x) for x in self.parts)
+        parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
         prev = None
         total = 0
         for x in parts:
-            if x < 1:
+            if type(x) is not int or x < 1:
                 raise ValueError(f"parts must be positive integers: {parts!r}")
             if prev is not None and x > prev:
                 raise ValueError(f"parts must be non-increasing: {parts!r}")
@@ -48,16 +49,9 @@ class Partition:
 
 
 def normalize(raw: Iterable[int]) -> Partition:
-    """Sort non-increasing and drop zeros.  Negative entries are rejected."""
-    cleaned = []
-    for x in raw:
-        x = int(x)
-        if x < 0:
-            raise ValueError(f"negative part: {x}")
-        if x:
-            cleaned.append(x)
-    cleaned.sort(reverse=True)
-    return Partition(tuple(cleaned))
+    """Sort non-increasing and drop int zeros; ``Partition`` rejects any other
+    part that is not a positive int, ``0.0`` and ``False`` included."""
+    return Partition(tuple(sorted((x for x in raw if x or type(x) is not int), reverse=True)))
 
 
 def dual(p: Partition) -> Partition:

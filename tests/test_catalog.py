@@ -20,6 +20,7 @@ from dspkit import (
     catalog_lines,
     defect,
     enumerate_rigid,
+    expected_chain,
     identify,
     is_rigid,
     min_d_mv,
@@ -219,11 +220,16 @@ def test_all_series_ids_counts():
 # chains
 
 
+def _chain_labels(sid):
+    return [s.label for s in verify_chain(sid)]
+
+
 def test_verify_chain_examples():
-    assert verify_chain("D_2") == ["D_2", "E_2", "G_1", "D_1", "E_1", "G_0", "D_0"]
-    assert verify_chain("Xi_8") == ["Xi_8", "Pi_7", "Pi_5", "Pi_3", "S_0"]
-    assert verify_chain("Star_3") == ["Star_3", "(1);(1);(1);(1)"]
-    assert verify_chain("T_1") == ["T_1", "(1);(1);(1);(1);(1)"]
+    assert _chain_labels("D_2") == ["D_2", "E_2", "G_1", "D_1", "E_1", "G_0", "D_0"]
+    assert _chain_labels("Xi_8") == ["Xi_8", "Pi_7", "Pi_5", "Pi_3", "S_0"]
+    assert _chain_labels("Star_3") == ["Star_3", "(1);(1);(1);(1)"]
+    assert _chain_labels("T_1") == ["T_1", "(1);(1);(1);(1);(1)"]
+    assert verify_chain("W_1") == expected_chain("W_1")
 
 
 def test_chain_mismatch_is_detected(monkeypatch):
@@ -234,13 +240,23 @@ def test_chain_mismatch_is_detected(monkeypatch):
         verify_chain("W_1")
 
 
+def test_verify_chain_rejects_a_non_rigid_instance(monkeypatch):
+    import dspkit.catalog as cat
+
+    # W_1 becomes (2,1,1);(2,1,1);(1,1,1,1), of defect 0; its trace is never compared
+    monkeypatch.setitem(cat.FAMILIES, "W", cat._Family(
+        lambda k: 3 * k + 1, lambda k: k >= 0, lambda k: [[k, k, k + 1]] * 2 + [[1] * (3 * k + 1)]))
+    with pytest.raises(ChainMismatchError, match=r"^W_1: defect is 0, not 2$"):
+        verify_chain("W_1")
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
 
 def _constraints(n, entries):
     return EnumConstraints(n=n, num_entries=entries, max_first_part=2,
-                           forbid_all_ones=True, forbid_scalar=True, require_defect=2)
+                           forbid_all_ones=True, forbid_scalar=True)
 
 
 def test_enumerate_quadruples_n11():

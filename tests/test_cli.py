@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from dspkit.catalog import series
 from dspkit.cli import main
 from dspkit.genericity import assignment_from_dict, trace_condition
@@ -80,10 +82,61 @@ def test_parse_error_exit_code(capsys):
 def test_wrong_json_shape_exits_2(capsys):
     for argv in (["generic-check", "[1]"],
                  ["generic-check", '{"mode":"additive","entries":5}'],
+                 ["generic-check", '{"mode":"additive","entries":[[{"coeffs":5,"mult":1}],'
+                                   '[{"coeffs":{},"mult":1}]]}'],
                  ["decide", "--jnf", "5"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out, argv
         assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
+
+
+def _jnf(first_slot, n=None):
+    blob = {"entries": [{"eigenvalues": [first_slot, [1]]},
+                        {"eigenvalues": [[1], [1]]}, {"eigenvalues": [[1], [1]]}]}
+    if n is not None:
+        blob["n"] = n
+    return json.dumps(blob)
+
+
+def _assignment(mult=1, coeff="1"):
+    return json.dumps({"mode": "additive", "entries": [
+        [{"coeffs": {"1": coeff}, "mult": mult}, {"coeffs": {"1": "-1"}, "mult": 1}],
+        [{"coeffs": {}, "mult": 2}]]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "--jnf", _jnf([1.7])],
+    ["decide", "--jnf", _jnf(["1"])],
+    ["decide", "--jnf", _jnf([True])],
+    ["decide", "--jnf", _jnf([1], n=2.9)],
+    ["generic-check", _assignment(mult=1.9)],
+    ["generic-check", _assignment(mult="1")],
+    ["generic-check", _assignment(mult=True)],
+    ["generic-check", _assignment(coeff=0.1)],
+    ["generic-check", _assignment(coeff=True)],
+], ids=["fractional-block", "string-block", "true-block", "fractional-n", "fractional-mult",
+        "string-mult", "true-mult", "float-coeff", "true-coeff"])
+def test_non_integer_numbers_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_int_coefficient_is_accepted(capsys):
+    code, out, _ = run(capsys, "generic-check", _assignment(coeff=1), "--json")
+    assert code == 0 and json.loads(out)["trace_condition"] is True
+
+
+def test_decide_batch_file_fractional_block_is_reported_in_place(tmp_path, capsys):
+    path = tmp_path / "batch.jsonl"
+    path.write_text("\n".join(['"(1,1);(1,1);(1,1)"', _jnf([1.7]), _jnf([1])]) + "\n",
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "decide", "--file", str(path))
+    assert code == 2
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == 3
+    assert set(lines[1]) == {"error", "line"} and lines[1]["line"] == 2
+    assert lines[0] == lines[2] and lines[0]["verdict"]["solvable"] is True
 
 
 def test_missing_json_key_is_named(tmp_path, capsys):
@@ -166,6 +219,13 @@ def test_chain_json_is_byte_stable(capsys):
 
 def test_catalog_verify_chains_json_is_byte_stable(capsys):
     code, out, _ = run(capsys, "catalog-verify", "--max-n", "30", "--chains", "--json")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "97b1ed486ccb36c40ce4880c9f795a37222ad04be5b3664551c215d9eb976d8d")
+
+
+def test_catalog_verify_json_is_byte_stable(capsys):
+    code, out, _ = run(capsys, "catalog-verify", "--max-n", "30", "--json")
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
             == "97b1ed486ccb36c40ce4880c9f795a37222ad04be5b3664551c215d9eb976d8d")

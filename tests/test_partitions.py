@@ -25,11 +25,24 @@ def test_normalize_rejects_negative():
         normalize([3, -1])
 
 
+def test_normalize_rejects_non_int_parts():
+    for raw in ([3, 0.0], [3, False], [3, 1.5]):
+        with pytest.raises(ValueError):
+            normalize(raw)
+
+
 def test_partition_validates_order_and_positivity():
     with pytest.raises(ValueError):
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, 0))
+
+
+def test_partition_rejects_non_int_parts():
+    for parts in ((2.5,), (True,), (2.0,), ("1",), (2, 1.0)):
+        with pytest.raises(ValueError):
+            Partition(parts)
+    assert Partition([2, 1]).parts == (2, 1)  # a list is stored as a tuple
 
 
 def test_dual_examples():
