@@ -42,7 +42,6 @@ from .genericity import (
     is_generic,
     nongenericity_witness,
     trace_condition,
-    weighted_total,
 )
 from .jnf import (
     Jnf,

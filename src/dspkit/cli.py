@@ -78,6 +78,8 @@ def _print_verdict(payload: dict) -> None:
 
 def _cmd_decide(args) -> int:
     if args.file:
+        if args.pmv or args.jnf:
+            raise ValueError("--file takes no tuple: give a tuple or --file, not both")
         bad = False
         with open(args.file, "r", encoding="utf-8") as handle:
             for number, line in enumerate(handle, 1):

@@ -29,15 +29,22 @@ GENERIC_CHECK_MAX_N = 14
 
 @dataclass(frozen=True)
 class ExactValue:
-    """q_0 + sum q_b * t_b with rational coefficients and formal basis t_b."""
+    """q_0 + sum q_b * t_b with rational coefficients and formal basis t_b.
+
+    A value record with no arithmetic: sums of values are taken on the integer
+    coordinates of ``_integer_entries``.  Each basis index appears once.
+    """
 
     const: Fraction = Fraction(0)
     formal: tuple[tuple[int, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "const", Fraction(self.const))
-        cleaned = tuple(sorted((int(i), Fraction(cf)) for i, cf in self.formal if cf))
-        object.__setattr__(self, "formal", cleaned)
+        terms = sorted((int(i), Fraction(cf)) for i, cf in self.formal)
+        for (i, _), (j, _) in zip(terms, terms[1:]):
+            if i == j:
+                raise ValueError(f"basis index t{i} is given twice")
+        object.__setattr__(self, "formal", tuple((i, cf) for i, cf in terms if cf))
 
     @classmethod
     def rational(cls, q) -> "ExactValue":
@@ -46,33 +53,6 @@ class ExactValue:
     @classmethod
     def basis(cls, index: int) -> "ExactValue":
         return cls(Fraction(0), ((index, Fraction(1)),))
-
-    def _merge(self, other: "ExactValue", sign: int) -> "ExactValue":
-        coeffs = dict(self.formal)
-        for i, cf in other.formal:
-            coeffs[i] = coeffs.get(i, Fraction(0)) + sign * cf
-        return ExactValue(self.const + sign * other.const, tuple(coeffs.items()))
-
-    def __add__(self, other: "ExactValue") -> "ExactValue":
-        return self._merge(other, 1)
-
-    def __sub__(self, other: "ExactValue") -> "ExactValue":
-        return self._merge(other, -1)
-
-    def __neg__(self) -> "ExactValue":
-        return self.scaled(-1)
-
-    def scaled(self, q) -> "ExactValue":
-        q = Fraction(q)
-        return ExactValue(self.const * q, tuple((i, cf * q) for i, cf in self.formal))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.formal and self.const == 0
-
-    @property
-    def is_integral(self) -> bool:
-        return not self.formal and self.const.denominator == 1
 
     def to_coeff_dict(self) -> dict[str, str]:
         out = {}
@@ -98,11 +78,6 @@ class ExactValue:
             else:
                 raise ValueError(f"bad coefficient key {key!r}")
         return cls(const, tuple(formal))
-
-    def __str__(self) -> str:
-        terms = [str(self.const)] if self.const or not self.formal else []
-        terms += [f"{cf}*t{i}" for i, cf in self.formal]
-        return " + ".join(terms)
 
 
 @dataclass(frozen=True)
@@ -145,38 +120,53 @@ class NongenericityWitness:
     total: ExactValue
 
 
-def weighted_total(a: EigenvalueAssignment) -> ExactValue:
-    total = ExactValue()
-    for entry in a.entries:
-        for value, mult in entry:
-            total = total + value.scaled(mult)
-    return total
-
-
-def trace_condition(a: EigenvalueAssignment) -> bool:
-    """Sum of all values with multiplicity is 0 (additive) or integral
-    (multiplicative, i.e. the product of the exp(2*pi*i*x) is 1)."""
-    total = weighted_total(a)
-    return total.is_zero if a.mode == "additive" else total.is_integral
-
-
 def _integer_entries(a: EigenvalueAssignment):
     """The assignment's values as integer coordinate tuples over one common
     denominator D: a value q_0 + sum q_b * t_b becomes D * (q_0, q_b1, q_b2, ...)
-    over the formal indices b that occur anywhere in ``a``.  Returns D, the
-    tuple length and the entries as (coordinates, multiplicity) pairs."""
+    over the formal indices b that occur anywhere in ``a``.  Returns D, those
+    indices in ascending order and the entries as (coordinates, multiplicity)
+    pairs.  Every sum of values in this module is taken on these coordinates."""
     values = [v for entry in a.entries for v, _ in entry]
-    position = {b: k for k, b in enumerate(sorted({b for v in values for b, _ in v.formal}), 1)}
+    basis = sorted({b for v in values for b, _ in v.formal})
+    position = {b: k for k, b in enumerate(basis, 1)}
     denom = math.lcm(*(q.denominator for v in values for q in (v.const, *(cf for _, cf in v.formal))))
 
     def coords(v: ExactValue) -> tuple[int, ...]:
-        row = [0] * (len(position) + 1)
+        row = [0] * (len(basis) + 1)
         row[0] = int(v.const * denom)
         for b, cf in v.formal:
             row[position[b]] = int(cf * denom)
         return tuple(row)
 
-    return denom, len(position) + 1, [[(coords(v), m) for v, m in entry] for entry in a.entries]
+    return denom, basis, [[(coords(v), m) for v, m in entry] for entry in a.entries]
+
+
+def _selection_sum(a: EigenvalueAssignment, choice) -> tuple[int, list[int], list[int]]:
+    """D, the formal indices and the integer coordinates (see
+    ``_integer_entries``) of sum c * v over the slots of ``a``, with one
+    weight vector c per entry in ``choice``."""
+    denom, basis, entries = _integer_entries(a)
+    total = [0] * (len(basis) + 1)
+    for entry, vec in zip(entries, choice):
+        for (coords, _), c in zip(entry, vec):
+            total = [x + c * y for x, y in zip(total, coords)]
+    return denom, basis, total
+
+
+def _selection_total(a: EigenvalueAssignment, choice) -> ExactValue:
+    """The sum of ``_selection_sum`` as a value, for output."""
+    denom, basis, total = _selection_sum(a, choice)
+    return ExactValue(Fraction(total[0], denom),
+                      tuple(zip(basis, (Fraction(x, denom) for x in total[1:]))))
+
+
+def trace_condition(a: EigenvalueAssignment) -> bool:
+    """Sum of all values with multiplicity is 0 (additive) or integral
+    (multiplicative, i.e. the product of the exp(2*pi*i*x) is 1)."""
+    denom, _, total = _selection_sum(a, a.multiplicities())
+    if a.mode == "multiplicative":
+        total[0] %= denom
+    return not any(total)
 
 
 def _weighted_subvectors(
@@ -232,7 +222,8 @@ def nongenericity_witness(a: EigenvalueAssignment) -> NongenericityWitness | Non
     n = a.n
     if n > GENERIC_CHECK_MAX_N:
         raise ResourceLimitError(f"genericity check limited to n <= {GENERIC_CHECK_MAX_N}")
-    denom, dim, entries = _integer_entries(a)
+    denom, basis, entries = _integer_entries(a)
+    dim = len(basis) + 1
     half = (len(entries) + 1) // 2
     left_entries = [[(tuple(-x for x in v), m) for v, m in entry] for entry in entries[:half]]
     right_entries = entries[half:]
@@ -255,15 +246,6 @@ def nongenericity_witness(a: EigenvalueAssignment) -> NongenericityWitness | Non
                     choice = vecs + (v,) + hit
                     return NongenericityWitness(kappa, choice, _selection_total(a, choice))
     return None
-
-
-def _selection_total(a: EigenvalueAssignment, choice) -> ExactValue:
-    total = ExactValue()
-    for entry, vec in zip(a.entries, choice):
-        for (value, _), c in zip(entry, vec):
-            if c:
-                total = total + value.scaled(c)
-    return total
 
 
 def is_generic(a: EigenvalueAssignment) -> bool:
@@ -293,29 +275,22 @@ def candidate_assignment(
     """The canonical trace-balanced assignment for ``t``, without validation.
 
     Every eigenvalue slot except the last slot of the last entry gets a fresh
-    formal basis element; the last slot is solved from the trace condition.
-    In multiplicative mode the weighted sum is set to ``product_exponent`` (an
+    formal basis element t_b; the last slot, of multiplicity m_L, is solved
+    from the trace condition as T/m_L - sum_b (m_b/m_L) * t_b, where T is the
+    weighted sum.  In multiplicative mode T is ``product_exponent`` (an
     integer, so the product is 1); when the multiplicities share a gcd g, the
     product over g-fold smaller multiplicities is then a primitive g-th root
     of unity iff gcd(product_exponent, g) == 1.
     """
     mult_lists = [e.eigenvalue_multiplicities() for e in t.entries]
-    free = sum(len(m) for m in mult_lists) - 1
-    target = ExactValue.rational(0 if mode == "additive" else product_exponent)
-    entries: list[list[tuple[ExactValue, int]]] = []
-    basis = 0
-    acc = ExactValue()
-    for mults in mult_lists:
-        entries.append([])
-        for m in mults:
-            if basis < free:
-                basis += 1
-                value = ExactValue.basis(basis)
-                acc = acc + value.scaled(m)
-            else:
-                value = (target - acc).scaled(Fraction(1, m))
-            entries[-1].append((value, m))
-    return EigenvalueAssignment(mode, tuple(tuple(e) for e in entries))
+    mults = [m for ms in mult_lists for m in ms]
+    last = mults[-1]
+    target = 0 if mode == "additive" else product_exponent
+    balance = ExactValue(Fraction(target, last),
+                         tuple((b, Fraction(-m, last)) for b, m in enumerate(mults[:-1], 1)))
+    values = iter([*map(ExactValue.basis, range(1, len(mults))), balance])
+    return EigenvalueAssignment(mode, tuple(tuple((next(values), m) for m in ms)
+                                            for ms in mult_lists))
 
 
 def generate_generic(

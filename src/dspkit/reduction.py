@@ -142,7 +142,6 @@ def decide(t: JnfTuple) -> ReductionTrace:
     """
     steps: list[TraceStep] = []
     cur = t
-    first = True
     defect0 = None
     while True:
         n = cur.n
@@ -159,16 +158,16 @@ def decide(t: JnfTuple) -> ReductionTrace:
             drop = set(scalars)
             cur = JnfTuple(tuple(e for i, e in enumerate(cur.entries) if i not in drop))
         rep = check_conditions(cur)
-        defect = 2 * n * n - (rep.alpha_slack + 2 * n * n - 2)
+        defect = 2 - rep.alpha_slack  # 2n^2 - sum of d, since alpha slack is sum of d - (2n^2 - 2)
         if defect0 is None:
+            # alpha is tested at the first step only; the defect must stay put after it
             defect0 = defect
-        if defect != defect0:
+            if not rep.alpha:
+                steps.append(TraceStep(cur, rep, n, None, scalars))
+                verdict = Verdict(False, Reason.ALPHA_FAILS, len(steps) - 1)
+                break
+        elif defect != defect0:
             raise RuntimeError(f"defect invariant broken: {defect0} became {defect} at size {n}")
-        if first and not rep.alpha:
-            steps.append(TraceStep(cur, rep, n, None, scalars))
-            verdict = Verdict(False, Reason.ALPHA_FAILS, len(steps) - 1)
-            break
-        first = False
         if rep.omega:
             steps.append(TraceStep(cur, rep, n, None, scalars))
             verdict = Verdict(True, Reason.OMEGA_HOLDS, len(steps) - 1)

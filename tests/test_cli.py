@@ -5,7 +5,13 @@ import pytest
 
 from dspkit.catalog import series
 from dspkit.cli import main
-from dspkit.genericity import assignment_from_dict, trace_condition
+from dspkit.genericity import (
+    assignment_from_dict,
+    assignment_to_dict,
+    candidate_assignment,
+    trace_condition,
+)
+from dspkit.jnf import Jnf, JnfTuple
 
 
 def run(capsys, *argv):
@@ -74,6 +80,16 @@ def test_decide_batch_file_bad_line_continues(tmp_path, capsys):
     assert lines[3]["verdict"]["reason"] == "AlphaFails"
 
 
+def test_decide_tuple_with_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "batch.jsonl"
+    path.write_text('"(2,1);(1,1,1);(1,1,1)"\n', encoding="utf-8")
+    for tup in (["(1,1);(1,1);(1,1)"], ["--jnf", '{"entries":[{"eigenvalues":[[1]]},'
+                                                 '{"eigenvalues":[[1]]}]}']):
+        code, out, err = run(capsys, "decide", *tup, "--file", str(path))
+        assert code == 2 and not out, tup
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, tup
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "decide", "2,2,3")
     assert code == 2 and err
@@ -84,6 +100,10 @@ def test_wrong_json_shape_exits_2(capsys):
                  ["generic-check", '{"mode":"additive","entries":5}'],
                  ["generic-check", '{"mode":"additive","entries":[[{"coeffs":5,"mult":1}],'
                                    '[{"coeffs":{},"mult":1}]]}'],
+                 # t1 and t01 name the same basis element
+                 ["generic-check", '{"mode":"additive","entries":[[{"coeffs":{"1":"5"},"mult":1},'
+                                   '{"coeffs":{"t1":"1","t01":"-1"},"mult":1}],'
+                                   '[{"coeffs":{"1":"-5"},"mult":1},{"coeffs":{},"mult":1}]]}'],
                  ["decide", "--jnf", "5"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out, argv
@@ -308,6 +328,18 @@ def test_generic_check_witness(capsys):
     payload = json.loads(out)
     assert payload["generic"] is False
     assert payload["witness"]["kappa"] == 1
+
+
+def test_multiplicative_witness_json_is_byte_stable(capsys):
+    # the witness total keeps its raw constant: 0 for exponent 0, 1 for exponent 2
+    variant = JnfTuple((Jnf.diagonal((2, 2, 2)), Jnf.diagonal((2, 2, 2)),
+                        Jnf.from_blocks([[3, 2, 1]])))
+    for e, digest in ((0, "b2c248c8c23979c280858b2491fdbd98545a74248db347ca2be6774428df47b4"),
+                      (2, "5da86911074a456d1eeb4b655b10d6ae8a2895c734e6f2a807f82791cd6a8732")):
+        a = candidate_assignment(variant, "multiplicative", product_exponent=e)
+        code, out, _ = run(capsys, "generic-check", json.dumps(assignment_to_dict(a)), "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, e
 
 
 def test_generic_check_trace_condition_failure(capsys):

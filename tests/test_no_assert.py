@@ -4,9 +4,23 @@ from pathlib import Path
 import dspkit
 
 
+def _library_trees():
+    for path in sorted(Path(dspkit.__file__).parent.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
 def test_library_has_no_bare_assert():
     # python -O strips assert statements, so no invariant may rest on one
-    for path in sorted(Path(dspkit.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _library_trees():
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert asserts == [], f"{path.name}: assert at lines {asserts}"
+
+
+def test_library_has_no_float():
+    # arithmetic stays exact: no float literal and no call to float()
+    for path, tree in _library_trees():
+        floats = [node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) is float
+                  or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"]
+        assert floats == [], f"{path.name}: float at lines {floats}"
