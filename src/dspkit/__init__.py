@@ -1,79 +1,59 @@
 """Solvability tests, rigid catalogs, and generic-eigenvalue tools for tuples of
-conjugacy-class shapes (the Deligne-Simpson problem for generic eigenvalues)."""
+conjugacy-class shapes (the Deligne-Simpson problem for generic eigenvalues).
 
-from .catalog import (
-    ChainStep,
-    EnumConstraints,
-    SeriesId,
-    all_series_ids,
-    antipassage_targets,
-    canonical_form,
-    case_omega,
-    catalog_lines,
-    defect,
-    enumerate_rigid,
-    expected_chain,
-    identify,
-    is_rigid,
-    min_d_mv,
-    parse_series_id,
-    passage,
-    series,
-    verify_chain,
-)
-from .errors import (
-    ChainMismatchError,
-    DspkitError,
-    ObstructionError,
-    PreconditionError,
-    ResourceLimitError,
-    SeriesParameterError,
-    UndefinedMoveError,
-)
-from .genericity import (
-    EigenvalueAssignment,
-    ExactValue,
-    NongenericityWitness,
-    assignment_from_dict,
-    assignment_to_dict,
-    candidate_assignment,
-    gcd_obstruction,
-    generate_generic,
-    is_generic,
-    nongenericity_witness,
-    trace_condition,
-)
-from .jnf import (
-    Jnf,
-    JnfTuple,
-    centralizer_dim_oracle,
-    corresponding_diagonal,
-    diagonalized,
-    jnf_from_dict,
-    jnf_to_dict,
-    jnf_tuple_from_dict,
-    jnf_tuple_to_dict,
-    parse_pmv,
-)
-from .partitions import (
-    Partition,
-    disjoint_sum,
-    dual,
-    normalize,
-    parse_partition,
-    partitions_of,
-)
-from .reduction import (
-    ConditionReport,
-    Reason,
-    ReductionTrace,
-    TraceStep,
-    Verdict,
-    check_conditions,
-    decide,
-    psi_step,
-    solvable_pmv,
-    trace_to_dict,
-)
+Importing the package loads none of its submodules: each exported name is
+imported from its submodule on first use, so a CLI command loads only the
+modules it runs.
+"""
 
 __version__ = "0.1.0"
+
+#: Each submodule and the names the package exports from it.
+_EXPORTS = {
+    "catalog": (
+        "ChainStep", "EnumConstraints", "SeriesId", "all_series_ids", "antipassage_targets",
+        "canonical_form", "case_omega", "catalog_lines", "defect", "enumerate_rigid",
+        "expected_chain", "identify", "is_rigid", "min_d_mv", "parse_series_id", "passage",
+        "series", "verify_chain",
+    ),
+    "errors": (
+        "ChainMismatchError", "DspkitError", "ObstructionError", "PreconditionError",
+        "ResourceLimitError", "SeriesParameterError", "UndefinedMoveError",
+    ),
+    "genericity": (
+        "EigenvalueAssignment", "ExactValue", "NongenericityWitness", "assignment_from_dict",
+        "assignment_to_dict", "candidate_assignment", "gcd_obstruction", "generate_generic",
+        "is_generic", "nongenericity_witness", "trace_condition",
+    ),
+    "jnf": (
+        "Jnf", "JnfTuple", "corresponding_diagonal", "diagonalized", "jnf_from_dict",
+        "jnf_to_dict", "jnf_tuple_from_dict", "jnf_tuple_to_dict", "parse_pmv",
+    ),
+    "partitions": (
+        "Partition", "disjoint_sum", "dual", "normalize", "parse_partition", "partitions_of",
+    ),
+    "reduction": (
+        "ConditionReport", "Reason", "ReductionTrace", "TraceStep", "Verdict",
+        "check_conditions", "decide", "psi_step", "solvable_pmv", "trace_to_dict",
+    ),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name):
+    # PEP 562: called only for names not yet in the package namespace
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

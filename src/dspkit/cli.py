@@ -7,6 +7,10 @@ mismatch, an obstructed generic-gen), malformed input exits 2, and an exceeded
 resource guard exits 3.  generic-gen certifies its assignment in closed form,
 so unlike generic-check it has no size guard; its --seed, like enum-rigid's
 --jobs, is accepted and has no effect.
+
+Start-up loads only what the command runs: at module level this file imports
+just the standard library and ``errors``, and each command handler imports its
+own modules on its first lines, before it reads any input.
 """
 
 from __future__ import annotations
@@ -16,30 +20,12 @@ import json
 import os
 import sys
 
-from . import catalog
 from .errors import (
     ChainMismatchError,
     DspkitError,
     ObstructionError,
     ResourceLimitError,
 )
-from .genericity import (
-    assignment_from_dict,
-    assignment_to_dict,
-    generate_generic,
-    nongenericity_witness,
-    trace_condition,
-    witness_to_dict,
-)
-from .jnf import (
-    JnfTuple,
-    corresponding_diagonal,
-    jnf_from_dict,
-    jnf_tuple_from_dict,
-    parse_pmv,
-)
-from .partitions import dual, parse_partition
-from .reduction import decide, trace_to_dict
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -51,7 +37,9 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _tuple_from_args(args) -> JnfTuple:
+def _tuple_from_args(args):
+    from .jnf import jnf_tuple_from_dict, parse_pmv
+
     if bool(args.pmv) == bool(args.jnf):
         raise ValueError("provide exactly one of: a multiplicity-vector tuple, --jnf")
     if args.jnf:
@@ -62,9 +50,9 @@ def _tuple_from_args(args) -> JnfTuple:
     return t
 
 
-def _decide_payload(t: JnfTuple):
-    trace = decide(t)
-    payload = trace_to_dict(trace)
+def _decide_payload(t, catalog, reduction):
+    trace = reduction.decide(t)
+    payload = reduction.trace_to_dict(trace)
     payload["defect"] = catalog.defect(t)
     payload["chain"] = [catalog.identify(s.state) for s in trace.steps]
     return payload, trace
@@ -77,6 +65,10 @@ def _print_verdict(payload: dict) -> None:
 
 
 def _cmd_decide(args) -> int:
+    # imported before any input is read: loaded in the middle of a batch, they raise peak RSS
+    from . import catalog, reduction
+    from .jnf import jnf_tuple_from_dict, parse_pmv
+
     if args.file:
         if args.pmv or args.jnf:
             raise ValueError("--file takes no tuple: give a tuple or --file, not both")
@@ -94,10 +86,10 @@ def _cmd_decide(args) -> int:
                     _emit_json({"line": number, "error": str(exc)})
                     bad = True
                     continue
-                _emit_json(_decide_payload(t)[0])
+                _emit_json(_decide_payload(t, catalog, reduction)[0])
         return EXIT_USAGE if bad else EXIT_OK
     t = _tuple_from_args(args)
-    payload, trace = _decide_payload(t)
+    payload, trace = _decide_payload(t, catalog, reduction)
     if args.json:
         _emit_json(payload)
         return EXIT_OK
@@ -111,8 +103,10 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from . import catalog, reduction
+
     t = _tuple_from_args(args)
-    payload, _ = _decide_payload(t)
+    payload, _ = _decide_payload(t, catalog, reduction)
     if args.json:
         _emit_json(payload)
         return EXIT_OK
@@ -131,6 +125,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_defect(args) -> int:
+    from . import catalog
+
     t = _tuple_from_args(args)
     value = catalog.defect(t)
     if args.json:
@@ -140,11 +136,9 @@ def _cmd_defect(args) -> int:
     return EXIT_OK
 
 
-def _max_n_guard() -> int:
-    return int(os.environ.get("DSPKIT_MAX_N", str(catalog.DEFAULT_MAX_ENUM_N)))
-
-
 def _cmd_enum_rigid(args) -> int:
+    from . import catalog
+
     if args.defect != 2:
         raise ValueError(f"only defect 2 (rigid) can be enumerated, not {args.defect}")
     constraints = catalog.EnumConstraints(
@@ -154,7 +148,8 @@ def _cmd_enum_rigid(args) -> int:
         forbid_all_ones=args.no_all_ones,
         forbid_scalar=args.no_scalar,
     )
-    results = catalog.enumerate_rigid(constraints, max_n=_max_n_guard())
+    max_n = int(os.environ.get("DSPKIT_MAX_N", str(catalog.DEFAULT_MAX_ENUM_N)))
+    results = catalog.enumerate_rigid(constraints, max_n=max_n)
     records = catalog.catalog_lines(results)
     if args.json:
         for record in records:
@@ -168,6 +163,8 @@ def _cmd_enum_rigid(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from . import catalog
+
     sid = catalog.parse_series_id(args.id)
     t = catalog.series(sid)
     if args.json:
@@ -183,6 +180,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    from . import catalog
+
     sid = catalog.parse_series_id(args.id)
     steps = catalog.verify_chain(sid)
     labels = [step.label for step in steps]
@@ -196,6 +195,9 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_dual(args) -> int:
+    from .jnf import corresponding_diagonal, jnf_from_dict
+    from .partitions import dual, parse_partition
+
     if bool(args.partition) == bool(args.jnf):
         raise ValueError("provide exactly one of --partition, --jnf")
     if args.partition:
@@ -210,6 +212,8 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_min_d(args) -> int:
+    from . import catalog
+
     mv = catalog.min_d_mv(args.n, args.r)
     if args.json:
         _emit_json({"parts": list(mv.parts)})
@@ -218,17 +222,21 @@ def _cmd_min_d(args) -> int:
     return EXIT_OK
 
 
-def _load_assignment(args):
+def _cmd_generic_check(args) -> int:
+    from .genericity import (
+        assignment_from_dict,
+        nongenericity_witness,
+        trace_condition,
+        witness_to_dict,
+    )
+
     if bool(args.assignment) == bool(args.file):
         raise ValueError("provide exactly one of: assignment JSON, --file")
     if args.assignment:
-        return assignment_from_dict(json.loads(args.assignment))
-    with open(args.file, "r", encoding="utf-8") as handle:
-        return assignment_from_dict(json.load(handle))
-
-
-def _cmd_generic_check(args) -> int:
-    a = _load_assignment(args)
+        a = assignment_from_dict(json.loads(args.assignment))
+    else:
+        with open(args.file, "r", encoding="utf-8") as handle:
+            a = assignment_from_dict(json.load(handle))
     witness = nongenericity_witness(a)
     traced = trace_condition(a)
     payload = {
@@ -251,6 +259,8 @@ def _cmd_generic_check(args) -> int:
 
 
 def _cmd_generic_gen(args) -> int:
+    from .genericity import assignment_to_dict, generate_generic
+
     t = _tuple_from_args(args)
     a = generate_generic(t, args.mode, product_exponent=args.product_exponent)
     _emit_json(assignment_to_dict(a))
@@ -258,6 +268,9 @@ def _cmd_generic_gen(args) -> int:
 
 
 def _cmd_catalog_verify(args) -> int:
+    from . import catalog
+    from .reduction import decide
+
     per_family: dict[str, dict] = {}
     failures = []
     for sid in catalog.all_series_ids(args.max_n):
@@ -388,7 +401,7 @@ def main(argv=None) -> int:
     except (ObstructionError, ChainMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError, OSError, DspkitError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, DspkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -73,7 +73,8 @@ class ExactValue:
                 raise ValueError(f"coefficient {val!r} is not a string such as \"1/10\" or an int")
             if key == "1":
                 const = Fraction(val)
-            elif key.startswith("t"):
+            elif key[1:].isascii() and key[1:].isdigit() and key == f"t{int(key[1:])}":
+                # only the form to_coeff_dict writes: no sign, space, "_" or leading zero
                 formal.append((int(key[1:]), Fraction(val)))
             else:
                 raise ValueError(f"bad coefficient key {key!r}")

@@ -1,14 +1,40 @@
-"""Shared generators for the test suite: seeded random shapes and exhaustive pools."""
+"""Shared code for the test suite: seeded random shapes, exhaustive pools,
+independent oracles and a fresh-interpreter runner."""
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
-from dspkit import EigenvalueAssignment, ExactValue, Jnf, JnfTuple, partitions_of
+import dspkit
+from dspkit import (
+    EigenvalueAssignment,
+    ExactValue,
+    Jnf,
+    JnfTuple,
+    ResourceLimitError,
+    partitions_of,
+)
 from dspkit.reduction import solvable_pmv
+
+#: The explicit-matrix oracle works on dense n x n matrices; keep it tiny.
+ORACLE_MAX_SIZE = 8
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter that imports the dspkit under test,
+    with text output captured."""
+    src = str(Path(dspkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
 
 
 def random_partition(rng: random.Random, n: int) -> tuple[int, ...]:
@@ -191,3 +217,57 @@ def naive_witness(a):
             if not formal and (const == 0 if a.mode == "additive" else const.denominator == 1):
                 return kappa, choice, (const, formal)
     return None
+
+
+def centralizer_dim_oracle(j: Jnf) -> int:
+    """Centralizer dimension of an explicit matrix with shape ``j``, by exact rank.
+
+    Builds Y with integer eigenvalues 0, 1, 2, ... (one per slot) and the given
+    block sizes, then computes the kernel dimension of X -> XY - YX over the
+    rationals.  Independent of the closed-form ``d``; used to validate it.
+    """
+    n = j.n
+    if n > ORACLE_MAX_SIZE:
+        raise ResourceLimitError(f"oracle limited to n <= {ORACLE_MAX_SIZE}, got {n}")
+    y = [[0] * n for _ in range(n)]
+    pos = 0
+    for eig, slot in enumerate(j.slots):
+        for b in slot.parts:
+            for i in range(b):
+                y[pos + i][pos + i] = eig
+                if i + 1 < b:
+                    y[pos + i][pos + i + 1] = 1
+            pos += b
+    # Row (a, b) of the commutator operator: (XY - YX)[a][b] as a linear form in X.
+    dim = n * n
+    mat = [[0] * dim for _ in range(dim)]
+    for a in range(n):
+        for b in range(n):
+            row = mat[a * n + b]
+            for c in range(n):
+                row[a * n + c] += y[c][b]
+                row[c * n + b] -= y[a][c]
+    return dim - _exact_rank(mat)
+
+
+def _exact_rank(mat: list[list[int]]) -> int:
+    rows = [[Fraction(x) for x in row] for row in mat if any(row)]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y_ for x, y_ in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank

@@ -32,7 +32,6 @@ from dspkit import (
     candidate_assignment,
     canonical_form,
     case_omega,
-    centralizer_dim_oracle,
     check_conditions,
     corresponding_diagonal,
     decide,
@@ -50,7 +49,13 @@ from dspkit import (
 )
 from dspkit.catalog import FAMILIES, all_series_ids
 from dspkit.reduction import solvable_pmv
-from helpers import all_jnfs, random_jnf_tuple, rational_assignment, reduces_to_simple_root
+from helpers import (
+    all_jnfs,
+    centralizer_dim_oracle,
+    random_jnf_tuple,
+    rational_assignment,
+    reduces_to_simple_root,
+)
 
 
 def report(num: str, text: str) -> None:

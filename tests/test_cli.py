@@ -6,12 +6,14 @@ import pytest
 from dspkit.catalog import series
 from dspkit.cli import main
 from dspkit.genericity import (
+    ExactValue,
     assignment_from_dict,
     assignment_to_dict,
     candidate_assignment,
     trace_condition,
 )
 from dspkit.jnf import Jnf, JnfTuple
+from helpers import fresh_python
 
 
 def run(capsys, *argv):
@@ -100,7 +102,7 @@ def test_wrong_json_shape_exits_2(capsys):
                  ["generic-check", '{"mode":"additive","entries":5}'],
                  ["generic-check", '{"mode":"additive","entries":[[{"coeffs":5,"mult":1}],'
                                    '[{"coeffs":{},"mult":1}]]}'],
-                 # t1 and t01 name the same basis element
+                 # t01 is not a key the output writes; read as t1 it named t1 twice
                  ["generic-check", '{"mode":"additive","entries":[[{"coeffs":{"1":"5"},"mult":1},'
                                    '{"coeffs":{"t1":"1","t01":"-1"},"mult":1}],'
                                    '[{"coeffs":{"1":"-5"},"mult":1},{"coeffs":{},"mult":1}]]}'],
@@ -140,6 +142,27 @@ def test_non_integer_numbers_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def _keyed_assignment(key):
+    return json.dumps({"mode": "additive", "entries": [
+        [{"coeffs": {key: "1"}, "mult": 1}, {"coeffs": {"1": "1"}, "mult": 1}],
+        [{"coeffs": {key: "-1"}, "mult": 1}, {"coeffs": {"1": "-1"}, "mult": 1}]]})
+
+
+@pytest.mark.parametrize("key", ["t01", "t+1", "t 1", "t-1", "t1_0", "t\u0661", "t", "T1"])
+def test_malformed_coefficient_key_exits_2(capsys, key):
+    code, out, err = run(capsys, "generic-check", _keyed_assignment(key))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_coefficient_keys_round_trip(capsys):
+    coeffs = {"1": "1/2", "t0": "3", "t1": "-1", "t10": "2/7", "t123": "5"}
+    assert ExactValue.from_coeff_dict(coeffs).to_coeff_dict() == coeffs
+    for key in ("t0", "t7", "t10", "t123"):
+        code, out, _ = run(capsys, "generic-check", _keyed_assignment(key), "--json")
+        assert code == 0 and json.loads(out)["trace_condition"] is True, key
 
 
 def test_int_coefficient_is_accepted(capsys):
@@ -371,3 +394,24 @@ def test_catalog_verify(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["all_ok"] is False
     assert payload["families"]["W"]["ok"] < payload["families"]["W"]["instances"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "(3,2,2);(3,2,2);(3,2,2)"],
+    ["trace", "(2,1);(1,1,1);(1,1,1)"],
+    ["defect", "(2,2,2,2);(4,4);(4,4);(7,1)", "--json"],
+    ["enum-rigid", "--n", "6", "--entries", "3", "--no-scalar"],
+    ["series", "W_2", "--json"],
+    ["chain", "W_2"],
+    ["dual", "--jnf", '{"eigenvalues":[[4,2,2]]}'],
+    ["min-d", "--n", "7", "--r", "5"],
+    ["generic-check", _assignment(), "--json"],
+    ["generic-gen", "(1,1);(1,1);(1,1)"],
+    ["catalog-verify", "--max-n", "6"],
+], ids=lambda argv: argv[0])
+def test_command_in_a_fresh_process(capsys, argv):
+    # in-process tests run after other tests have imported every module, so a
+    # missing import inside a command handler shows only in a new interpreter
+    proc = fresh_python("-m", "dspkit.cli", *argv)
+    assert proc.returncode == 0 and proc.stdout, proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)

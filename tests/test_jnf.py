@@ -4,7 +4,6 @@ from dspkit import (
     Jnf,
     JnfTuple,
     ResourceLimitError,
-    centralizer_dim_oracle,
     corresponding_diagonal,
     diagonalized,
     dual,
@@ -12,7 +11,7 @@ from dspkit import (
     jnf_tuple_to_dict,
     parse_pmv,
 )
-from helpers import all_jnfs
+from helpers import all_jnfs, centralizer_dim_oracle
 
 
 def mv(*parts):

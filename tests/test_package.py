@@ -1,0 +1,93 @@
+"""The package's exports and what each entry point loads at start-up."""
+
+import importlib
+import json
+
+import pytest
+
+import dspkit
+from helpers import fresh_python
+
+EXPORTS = sorted([
+    "ChainMismatchError", "ChainStep", "ConditionReport", "DspkitError", "EigenvalueAssignment",
+    "EnumConstraints", "ExactValue", "Jnf", "JnfTuple", "NongenericityWitness",
+    "ObstructionError", "Partition", "PreconditionError", "Reason", "ReductionTrace",
+    "ResourceLimitError", "SeriesId", "SeriesParameterError", "TraceStep",
+    "UndefinedMoveError", "Verdict", "all_series_ids", "antipassage_targets",
+    "assignment_from_dict", "assignment_to_dict", "candidate_assignment", "canonical_form",
+    "case_omega", "catalog_lines", "check_conditions", "corresponding_diagonal", "decide",
+    "defect", "diagonalized", "disjoint_sum", "dual", "enumerate_rigid", "expected_chain",
+    "gcd_obstruction", "generate_generic", "identify", "is_generic", "is_rigid", "jnf_from_dict",
+    "jnf_to_dict", "jnf_tuple_from_dict", "jnf_tuple_to_dict", "min_d_mv",
+    "nongenericity_witness", "normalize", "parse_partition", "parse_pmv", "parse_series_id",
+    "partitions_of", "passage", "psi_step", "series", "solvable_pmv", "trace_condition",
+    "trace_to_dict", "verify_chain",
+])
+
+
+def test_exports_are_the_frozen_list():
+    assert sorted(dspkit.__all__) == EXPORTS
+    assert len(set(dspkit.__all__)) == len(dspkit.__all__)
+
+
+def test_every_export_is_its_owning_modules_object():
+    for name in dspkit.__all__:
+        obj = getattr(dspkit, name)
+        owner = obj.__module__
+        assert owner.startswith("dspkit."), name
+        assert getattr(importlib.import_module(owner), name) is obj, name
+
+
+def test_star_import_and_submodule_import():
+    namespace = {}
+    exec("from dspkit import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS
+    from dspkit import catalog
+
+    assert catalog is importlib.import_module("dspkit.catalog")
+    assert "catalog" in dir(dspkit) and "decide" in dir(dspkit)
+
+
+def test_unknown_name_is_an_attribute_error():
+    for name in ("centralizer_dim_oracle", "no_such_name"):
+        assert not hasattr(dspkit, name)
+    with pytest.raises(ImportError):
+        exec("from dspkit import centralizer_dim_oracle", {})
+
+
+_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+{body}
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+_MAIN = """
+from dspkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv!r}) == 0
+"""
+
+
+def _newly_loaded(body: str) -> list[str]:
+    proc = fresh_python("-c", _PROBE.format(body=body))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, submodules", [
+    (None, []),
+    (["--help"], ["cli", "errors"]),
+    (["dual", "--partition", "(2,1)"], ["cli", "errors", "jnf", "partitions"]),
+    (["generic-gen", "(1,1);(1,1);(1,1)"],
+     ["cli", "errors", "genericity", "jnf", "partitions"]),
+    (["decide", "(1,1);(1,1);(1,1)"],
+     ["catalog", "cli", "errors", "jnf", "partitions", "reduction"]),
+], ids=["import", "help", "dual", "generic-gen", "decide"])
+def test_start_up_loads_only_what_the_command_runs(argv, submodules):
+    body = "import dspkit" if argv is None else _MAIN.format(argv=argv)
+    loaded = _newly_loaded(body)
+    assert [m for m in loaded if m.startswith("dspkit.")] == [f"dspkit.{m}" for m in submodules]
+    if argv is not None and argv[0] == "decide":
+        # the decision path uses no rational arithmetic
+        assert "fractions" not in loaded and "decimal" not in loaded
