@@ -4,14 +4,29 @@ A shape here is purely combinatorial: eigenvalues are anonymous slots, each slot
 carrying the partition of its Jordan block sizes.  Diagonalizable classes are the
 special case where every block has size 1; those are encoded compactly by a
 multiplicity vector (one part per eigenvalue).
+
+Shapes are immutable and may be shared: ``Jnf.diagonal`` reuses one all-ones
+slot per multiplicity, and the reduction step reuses the shapes it has already
+built.  Never mutate a ``Partition`` or ``Jnf`` with ``object.__setattr__``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .partitions import Partition, disjoint_sum, dual, normalize, parse_parts
+
+#: Bound on the interned all-ones slots of ``Jnf.diagonal``, one per multiplicity.
+#: Without it a long-lived process could hold one slot of every size up to
+#: ``MAX_SIZE``, about 400 MB.
+_ONES_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_ONES_CACHE_SIZE)
+def _ones(m: int) -> Partition:
+    return Partition((1,) * m)
 
 
 @dataclass(frozen=True, order=True)
@@ -49,13 +64,19 @@ class Jnf:
 
     @classmethod
     def diagonal(cls, mv: Partition | Iterable[int]) -> "Jnf":
+        """The diagonal shape of multiplicity vector ``mv``; equal multiplicities
+        share one interned all-ones slot."""
         mv = mv if isinstance(mv, Partition) else normalize(mv)
-        return cls(tuple(Partition((1,) * m) for m in mv.parts))
+        return cls(tuple(_ones(m) for m in mv.parts))
+
+    @cached_property
+    def _mv(self) -> Partition:
+        return Partition(tuple(len(s.parts) for s in self.slots))
 
     def multiplicity_vector(self) -> Partition:
         if not self.is_diagonal:
             raise ValueError("only diagonal shapes have a multiplicity vector")
-        return Partition(tuple(len(s.parts) for s in self.slots))
+        return self._mv
 
     def eigenvalue_multiplicities(self) -> tuple[int, ...]:
         """Total size per eigenvalue slot, in canonical slot order."""

@@ -11,17 +11,28 @@ For a tuple of class shapes of size n the three conditions are
 scalar entries, stops with a verdict when omega holds, when the size reaches 1,
 or when beta fails, and otherwise applies one reduction step, shrinking n to
 n1 = sum(r_j) - n.  The quantity 2n^2 - sum(d_j) is invariant along the way.
+
+Reduction chains share long suffixes, so the per-entry cut of ``psi_step`` is
+memoized: the shapes in the tuples that ``psi_step`` and ``decide`` return may
+be shared objects.  They are immutable; never mutate them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .errors import PreconditionError
 from .jnf import Jnf, JnfTuple, jnf_tuple_to_dict
 from .partitions import normalize
+
+#: Bound on the memoized per-entry cuts, chosen by measurement: one
+#: `catalog-verify --max-n 30 --chains` run makes 16,701 cuts of 641 distinct
+#: (entry, slot, k) triples, and a `decide --file` of 500 mixed random and
+#: catalog lines makes about 5,400 cuts of 890-960 distinct triples.
+_CUT_CACHE_SIZE = 1024
 
 
 class Reason(str, Enum):
@@ -99,7 +110,8 @@ def psi_step(
 
     ``slot_choice`` may override the tie-break among slots of equal maximal
     block count (default: first in canonical order).  The verdict of the
-    decision loop does not depend on this choice.
+    decision loop does not depend on this choice.  The returned entries may be
+    shared with earlier results (see the module docstring).
     """
     n = t.n
     if n <= 1:
@@ -115,22 +127,29 @@ def psi_step(
     k = n - n1
     new_entries = []
     for idx, e in enumerate(t.entries):
-        max_count = max(len(s.parts) for s in e.slots)
+        max_count = e.n - e.r
         candidates = [i for i, s in enumerate(e.slots) if len(s.parts) == max_count]
         chosen = candidates[0] if slot_choice is None else slot_choice(idx, candidates)
         if chosen not in candidates:
             raise PreconditionError("slot_choice must pick a maximal-count slot")
         if k > max_count:  # beta guarantees n - n1 <= n - r_j
             raise RuntimeError(f"block bound broken: cutting {k} from {max_count} blocks")
-        blocks = list(e.slots[chosen].parts)
-        for i in range(len(blocks) - k, len(blocks)):
-            blocks[i] -= 1
-        reduced = normalize(blocks)
-        slots = [s for i, s in enumerate(e.slots) if i != chosen]
-        if reduced.parts:
-            slots.append(reduced)
-        new_entries.append(Jnf(tuple(slots)))
+        new_entries.append(_cut(e, chosen, k))
     return JnfTuple(tuple(new_entries))
+
+
+@lru_cache(maxsize=_CUT_CACHE_SIZE)
+def _cut(e: Jnf, chosen: int, k: int) -> Jnf:
+    """``e`` with 1 cut from each of the ``k`` smallest blocks of slot ``chosen``;
+    an emptied slot is deleted."""
+    blocks = list(e.slots[chosen].parts)
+    for i in range(len(blocks) - k, len(blocks)):
+        blocks[i] -= 1
+    reduced = normalize(blocks)
+    slots = [s for i, s in enumerate(e.slots) if i != chosen]
+    if reduced.parts:
+        slots.append(reduced)
+    return Jnf(tuple(slots))
 
 
 def decide(t: JnfTuple) -> ReductionTrace:

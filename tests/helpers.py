@@ -97,6 +97,41 @@ def all_jnfs(n: int) -> list[Jnf]:
     return sorted(set(out), reverse=True)
 
 
+def reference_psi_step(blocks, pick=None):
+    """One reduction step on raw block lists, computed from scratch; the oracle
+    for ``psi_step``.
+
+    ``blocks`` holds, per entry, the block sizes of each eigenvalue slot, slots
+    in canonical (descending) order.  ``pick`` names the slot cut in each entry;
+    by default the first slot with the most blocks.  Returns the reduced tuple in
+    the same form, or None where the step is undefined: size 1, a scalar entry,
+    omega holding or beta failing.
+    """
+    n = sum(sum(slot) for slot in blocks[0])
+    counts = [max(len(slot) for slot in entry) for entry in blocks]
+    rs = [n - c for c in counts]
+    rsum = sum(rs)
+    if n <= 1 or 0 in rs or rsum >= 2 * n or any(rsum - r < n for r in rs):
+        return None
+    k = 2 * n - rsum  # n - n1, with n1 = rsum - n
+    out = []
+    for j, entry in enumerate(blocks):
+        chosen = (pick[j] if pick is not None
+                  else next(i for i, slot in enumerate(entry) if len(slot) == counts[j]))
+        if len(entry[chosen]) != counts[j]:
+            raise ValueError(f"slot {chosen} of entry {j} does not have the most blocks")
+        slots = []
+        for i, slot in enumerate(entry):
+            if i == chosen:
+                ascending = sorted(slot)
+                slot = [b - 1 for b in ascending[:k]] + ascending[k:]
+                slot = tuple(sorted((b for b in slot if b > 0), reverse=True))
+            if slot:
+                slots.append(tuple(slot))
+        out.append(sorted(slots, reverse=True))
+    return out
+
+
 def scan_rigid(n, entries, u=None, no_all_ones=False, no_scalar=False):
     """Solvable rigid diagonal tuples of size ``n`` by a full scan: canonical
     multiplicity vectors, sorted.  The first entry runs over the partitions of

@@ -1,22 +1,34 @@
 import itertools
+import json
 import random
 
 import pytest
 
+import dspkit.jnf
+import dspkit.reduction
 from dspkit import (
     Jnf,
     JnfTuple,
     PreconditionError,
     Reason,
+    all_series_ids,
     check_conditions,
     decide,
     diagonalized,
     parse_pmv,
     partitions_of,
     psi_step,
+    series,
     solvable_pmv,
+    trace_to_dict,
 )
-from helpers import all_jnfs, is_positive_root, random_jnf_tuple, random_pmv
+from helpers import (
+    all_jnfs,
+    is_positive_root,
+    random_jnf_tuple,
+    random_pmv,
+    reference_psi_step,
+)
 
 
 def test_conditions_hypergeometric_triple():
@@ -156,6 +168,87 @@ def test_tie_breaking_does_not_change_verdict_or_diagonal_result():
             assert decide(out).solvable == decide(psi_step(t)).solvable
         if t.is_diagonal:
             assert len(results) == 1
+
+
+def _raw(t: JnfTuple) -> list[list[tuple[int, ...]]]:
+    return [[s.parts for s in e.slots] for e in t.entries]
+
+
+def test_psi_step_matches_reference_step():
+    # the memoized step against a from-scratch step on raw block lists, with the
+    # default slot choice and with every valid one; an invalid one is refused
+    rng = random.Random(31)
+    stepped = picks = refused = 0
+    while stepped < 600:
+        t = random_jnf_tuple(rng, rng.randint(2, 12), rng.randint(2, 5))
+        raw = _raw(t)
+        want = reference_psi_step(raw)
+        if want is None:
+            with pytest.raises(PreconditionError):
+                psi_step(t)
+            continue
+        assert _raw(psi_step(t)) == want, t
+        stepped += 1
+        counts = [max(len(slot) for slot in entry) for entry in raw]
+        choices = [[i for i, slot in enumerate(entry) if len(slot) == c]
+                   for entry, c in zip(raw, counts)]
+        for pick in itertools.product(*choices):
+            got = psi_step(t, slot_choice=lambda j, cands, p=pick: p[j])
+            assert _raw(got) == reference_psi_step(raw, pick), (t, pick)
+            picks += 1
+        for j, entry in enumerate(raw):
+            short = [i for i, slot in enumerate(entry) if len(slot) < counts[j]]
+            if short:
+                with pytest.raises(PreconditionError):
+                    psi_step(t, slot_choice=lambda idx, cands: short[0] if idx == j else cands[0])
+                refused += 1
+    assert picks > stepped and refused > 100
+
+
+def test_decide_traces_do_not_depend_on_cache_state():
+    rng = random.Random(37)
+    tuples = [random_jnf_tuple(rng, rng.randint(2, 12), rng.randint(2, 5)) for _ in range(300)]
+    tuples += [series(sid) for sid in all_series_ids(24)]
+    caches = (dspkit.reduction._cut, dspkit.jnf._ones)
+
+    def dumped(t):
+        return json.dumps(trace_to_dict(decide(t)), sort_keys=True)
+
+    cold = []
+    for t in tuples:
+        for cache in caches:
+            cache.cache_clear()
+        cold.append(dumped(t))
+    # catalog chains share suffixes, so this pass hits cuts of earlier instances
+    assert [dumped(t) for t in tuples] == cold
+    assert [dumped(t) for t in reversed(tuples)] == cold[::-1]  # repeated, other order
+
+
+def test_step_and_slot_caches_stay_bounded():
+    cut, ones = dspkit.reduction._cut, dspkit.jnf._ones
+    for cache in (cut, ones):
+        cache.cache_clear()
+    rng = random.Random(41)
+    seen = set()
+    while len(seen) < 3000:
+        if rng.random() < 0.5:
+            t = random_jnf_tuple(rng, rng.randint(2, 12), rng.randint(2, 5))
+        else:
+            t = JnfTuple.from_pmv(random_pmv(rng, rng.randint(2, 30), rng.randint(3, 5)))
+        if t not in seen:
+            seen.add(t)
+            decide(t)
+    for m in range(1, 2 * ones.cache_info().maxsize):
+        Jnf.diagonal((m, 1))
+    for cache in (cut, ones):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.misses > info.maxsize
+        assert info.currsize <= info.maxsize
+    # diagonal shapes share one all-ones slot per multiplicity, and a shape
+    # builds its multiplicity vector once
+    a, b = Jnf.diagonal((3, 2)), Jnf.diagonal((3, 1, 1))
+    assert a.slots[0] is b.slots[0]
+    assert a.multiplicity_vector() is a.multiplicity_vector()
 
 
 def test_solvable_pmv_agrees_with_decide():
