@@ -4,7 +4,8 @@ running the reduction step backwards.
 
 A tuple is rigid when its defect 2n^2 - sum(d_j) equals 2.  The catalog stores
 one generator per named family, each family's reduction chain, and a per-size
-index that recognizes catalog members inside traces.
+index, keyed on int vectors, that names catalog members in traces and in the
+enumerator's output, which is int vectors too, not ``JnfTuple`` objects.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ from .reduction import decide, solvable_pmv
 
 #: Default guard for the enumerator (overridable, e.g. via DSPKIT_MAX_N).
 DEFAULT_MAX_ENUM_N = 40
+#: Default budget of tree nodes the enumerator expands.  Triples with no scalar take
+#: 1,526 at n=14, 93,014 at n=24, 587,660 at n=30 (34 s); u=2 sweeps to n=60 under
+#: 1,000.  Tripped at n=34, the walk stops after 57 s at 102 MB RSS (Python 3.11).
+DEFAULT_MAX_ENUM_NODES = 1_000_000
 MAX_ENUM_ENTRIES = 6
 
 
@@ -305,21 +310,25 @@ def canonical_form(t: JnfTuple) -> JnfTuple:
     return JnfTuple(tuple(sorted(t.entries, reverse=True)))
 
 
+_Vectors = tuple[tuple[int, ...], ...]
+
+
 @functools.cache
-def _names_by_pmv(n: int) -> dict[tuple[Partition, ...], list[str]]:
-    """Names of the size-``n`` catalog instances, keyed by canonical vectors."""
-    index: dict[tuple[Partition, ...], list[str]] = {}
+def _names_by_pmv(n: int) -> dict[_Vectors, tuple[str, ...]]:
+    """Sorted names of the size-``n`` catalog instances, keyed by canonical vectors."""
+    index: dict[_Vectors, list[str]] = {}
     for sid in all_series_ids(n):
         if FAMILIES[sid.name].n_of(sid.param) == n:
-            index.setdefault(series_mvs(sid), []).append(str(sid))
-    return index
+            index.setdefault(tuple(mv.parts for mv in series_mvs(sid)), []).append(str(sid))
+    return {key: tuple(sorted(names)) for key, names in index.items()}
 
 
 def identify(t: JnfTuple) -> list[str]:
     """Names of every catalog instance equal to ``t`` up to entry permutation."""
     if not t.is_diagonal:
         return []
-    return sorted(_names_by_pmv(t.n).get(tuple(sorted(t.pmv(), reverse=True)), ()))
+    key = tuple(sorted((mv.parts for mv in t.pmv()), reverse=True))
+    return list(_names_by_pmv(t.n).get(key, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +465,11 @@ class EnumConstraints:
             raise ValueError("need n >= 1 and at least two entries")
 
 
-def _children(parent: tuple[tuple[int, ...], ...], max_n: int) -> set[tuple[tuple[int, ...], ...]]:
+def _children(parent: _Vectors, max_n: int, u: int) -> set[_Vectors]:
     """Canonical tuples of size <= ``max_n`` that one reduction step takes to ``parent``:
     entry j gains k = (E-2)*n1 - sum(x_j) on one part x_j (or on a new part, x_j = 0),
-    and x_j + k must be a largest part, since the step cuts one."""
+    and x_j + k must be a largest part, since the step cuts one.  A child with no entry
+    of parts <= ``u`` (no x_j + k <= u) is left out: the step never raises a part."""
     n1 = sum(parent[0])
     base = (len(parent) - 2) * n1
     # per entry: each part x (0 for none) -> what is left of the entry without it
@@ -467,7 +477,7 @@ def _children(parent: tuple[tuple[int, ...], ...], max_n: int) -> set[tuple[tupl
     out = set()
     for xs in itertools.product(*left):
         k = base - sum(xs)
-        if k < 1 or n1 + k > max_n:
+        if k < 1 or n1 + k > max_n or min(xs) + k > u:
             continue
         child = []
         for x, rests in zip(xs, left):
@@ -482,44 +492,53 @@ def _children(parent: tuple[tuple[int, ...], ...], max_n: int) -> set[tuple[tupl
     return out
 
 
-def enumerate_rigid(c: EnumConstraints, *, max_n: int | None = None) -> list[JnfTuple]:
+def enumerate_rigid(c: EnumConstraints, *, max_n: int | None = None,
+                    max_nodes: int | None = None) -> list[_Vectors]:
     """All solvable rigid diagonal tuples meeting the constraints, up to entry
-    permutation, sorted by their canonical multiplicity vectors.
+    permutation, as sorted canonical vectors: int tuples, parts and entries descending.
 
     They reduce step by step to (1);...;(1) and the step is deterministic, so
     they form a tree (Katz's algorithm run backwards) that the walk grows up to
     size ``c.n``, keeping scalar entries as (n).  The step never raises a part,
     so ``max_first_part`` prunes it.  Outputs are checked with ``solvable_pmv``.
+    Past ``max_n`` or ``max_nodes`` expanded nodes it raises ``ResourceLimitError``.
     """
     limit = DEFAULT_MAX_ENUM_N if max_n is None else max_n
+    budget = DEFAULT_MAX_ENUM_NODES if max_nodes is None else max_nodes
+    expanded = 0
     if c.n > limit:
         raise ResourceLimitError(f"n={c.n} exceeds the enumeration guard {limit}")
     if c.num_entries > MAX_ENUM_ENTRIES:
         raise ResourceLimitError(f"at most {MAX_ENUM_ENTRIES} entries supported")
     found = []
-    stack = [((1,),) * c.num_entries]
+    u = c.n if c.max_first_part is None else c.max_first_part
+    stack = [((1,),) * c.num_entries] if u >= 1 else []
     while stack:
         node = stack.pop()
-        if c.max_first_part is not None and min(mv[0] for mv in node) > c.max_first_part:
-            continue
         if sum(node[0]) < c.n:
-            stack.extend(_children(node, c.n))
+            expanded += 1
+            if expanded > budget:
+                raise ResourceLimitError(f"the walk to n={c.n} expands more than {budget} nodes")
+            stack.extend(_children(node, c.n, u))
         elif not any((c.forbid_scalar and len(mv) == 1) or (c.forbid_all_ones and mv[0] == 1)
                      for mv in node):
             if not solvable_pmv(node):
                 raise RuntimeError(f"the tree walk reached {node}, which solvable_pmv rejects")
             found.append(node)
-    return [JnfTuple.from_pmv(mvs) for mvs in sorted(found)]
+    return sorted(found)
 
 
-def catalog_lines(tuples: Iterable[JnfTuple]) -> list[dict]:
-    """JSON-ready dump records: one per tuple, with defect and catalog names."""
+def catalog_lines(tuples: Iterable[_Vectors]) -> list[dict]:
+    """JSON-ready records of ``enumerate_rigid`` outputs, with defect and catalog
+    names; ``RuntimeError`` if entries differ in size or the defect is not 2."""
     out = []
-    for t in tuples:
-        out.append({
-            "n": t.n,
-            "entries": [list(e.multiplicity_vector().parts) for e in t.entries],
-            "defect": defect(t),
-            "series_names": identify(t),
-        })
+    for mvs in tuples:
+        n = sum(mvs[0])
+        if any(sum(mv) != n for mv in mvs):
+            raise RuntimeError(f"{mvs}: entries are not all of size {n}")
+        value = 2 * n * n - sum(n * n - sum(x * x for x in mv) for mv in mvs)
+        if value != 2:
+            raise RuntimeError(f"{mvs}: defect is {value}, not 2")
+        out.append({"n": n, "entries": [list(mv) for mv in mvs], "defect": value,
+                    "series_names": list(_names_by_pmv(n).get(mvs, ()))})
     return out

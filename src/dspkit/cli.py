@@ -155,9 +155,10 @@ def _cmd_enum_rigid(args) -> int:
         for record in records:
             _emit_json(record)
     else:
-        for record, t in zip(records, results):
+        for record in records:
+            text = ";".join("(" + ",".join(map(str, mv)) + ")" for mv in record["entries"])
             names = ",".join(record["series_names"]) or "-"
-            print(f"{t}  defect={record['defect']}  [{names}]")
+            print(f"{text}  defect={record['defect']}  [{names}]")
         print(f"total: {len(records)}")
     return EXIT_OK
 

@@ -190,9 +190,9 @@ def test_criterion_03_defect_invariance_random():
 
 
 def _classify(n: int, entries: int) -> list[JnfTuple]:
-    return enumerate_rigid(EnumConstraints(
+    return [JnfTuple.from_pmv(v) for v in enumerate_rigid(EnumConstraints(
         n=n, num_entries=entries, max_first_part=2,
-        forbid_all_ones=True, forbid_scalar=True))
+        forbid_all_ones=True, forbid_scalar=True))]
 
 
 def _expected_set(names: list[str]) -> set[JnfTuple]:

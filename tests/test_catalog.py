@@ -210,6 +210,9 @@ def test_identify_matches_brute_force():
         reversed_t = JnfTuple(tuple(reversed(t.entries)))
         want = sorted(str(other) for other, okey in instances if okey == key)
         assert identify(reversed_t) == want, sid
+        # the vector path of enum-rigid output reads the same index
+        vectors = tuple(mv.parts for mv in key.pmv())
+        assert catalog_lines([vectors])[0]["series_names"] == want, sid
 
 
 def test_all_series_ids_counts():
@@ -261,12 +264,12 @@ def _constraints(n, entries):
 
 def test_enumerate_quadruples_n11():
     res = enumerate_rigid(_constraints(11, 4))
-    assert [identify(t) for t in res] == [["Pi_11"], ["Delta_11"]]
+    assert [identify(JnfTuple.from_pmv(v)) for v in res] == [["Pi_11"], ["Delta_11"]]
 
 
 def test_enumerate_quadruples_n6_contains_psi6():
     res = enumerate_rigid(_constraints(6, 4))
-    names = {name for t in res for name in identify(t)}
+    names = {name for v in res for name in identify(JnfTuple.from_pmv(v))}
     assert "Psi6" in names and "Xi_6" in names and "Theta_6" in names
 
 
@@ -278,12 +281,11 @@ def test_enumerate_quintuples_n8_empty():
 def test_enumerate_matches_scan(entries, max_n):
     # the tree walk against the full sum-of-squares scan, with every filter
     for n in range(1, max_n + 1):
-        for u in (None, 1, 2, 3):
+        for u in (None, 0, 1, 2, 3):
             for no_all_ones, no_scalar in itertools.product((False, True), repeat=2):
                 got = enumerate_rigid(EnumConstraints(n, entries, u, no_all_ones, no_scalar))
                 want = scan_rigid(n, entries, u, no_all_ones, no_scalar)
-                assert [tuple(mv.parts for mv in t.pmv()) for t in got] == want, \
-                    (n, u, no_all_ones, no_scalar)
+                assert got == want, (n, u, no_all_ones, no_scalar)
 
 
 def test_enumerate_resource_guard():
@@ -294,11 +296,19 @@ def test_enumerate_resource_guard():
     assert enumerate_rigid(_constraints(41, 3), max_n=41) is not None
 
 
+def test_enumerate_node_budget():
+    # triples at n=8, scalars included, expand 44 nodes
+    c = EnumConstraints(n=8, num_entries=3)
+    assert enumerate_rigid(c, max_nodes=44) == enumerate_rigid(c)
+    with pytest.raises(ResourceLimitError, match=r"^the walk to n=8 expands more than 43 nodes$"):
+        enumerate_rigid(c, max_nodes=43)
+
+
 def test_rank_sum_over_u2_outputs():
     # with a parts<=2 entry present, the remaining rank sum is n or n+1
     for n, entries in [(10, 3), (11, 4), (12, 4)]:
-        for t in enumerate_rigid(_constraints(n, entries)):
-            rs = sorted(e.r for e in t.entries)
+        for v in enumerate_rigid(_constraints(n, entries)):
+            rs = sorted(e.r for e in JnfTuple.from_pmv(v).entries)
             total = sum(rs)
             assert total - (n - 2) in (n, n + 1)
 
@@ -392,7 +402,7 @@ def _u2(n, entries):
 
 def test_u2_triples_named_except_sporadic_table():
     for n in range(1, 61):
-        res = _u2(n, 3)
+        res = [JnfTuple.from_pmv(v) for v in _u2(n, 3)]
         assert all(reduces_to_simple_root([mv.parts for mv in t.pmv()]) for t in res), n
         unnamed = [str(t) for t in res if not identify(t)]
         assert unnamed == SPORADIC_U2_TRIPLES.get(n, []), n
@@ -403,7 +413,7 @@ def test_u2_triples_named_except_sporadic_table():
 
 def test_u2_quadruples_named_except_05b_family():
     for n in range(1, 41):
-        res = _u2(n, 4)
+        res = [JnfTuple.from_pmv(v) for v in _u2(n, 4)]
         assert all(reduces_to_simple_root([mv.parts for mv in t.pmv()]) for t in res), n
         unnamed = [t for t in res if not identify(t)]
         if n % 2 == 0 and n >= 6:
@@ -418,9 +428,20 @@ def test_u2_quadruples_named_except_05b_family():
 
 def test_catalog_lines_shape():
     res = enumerate_rigid(_constraints(11, 4))
+    assert res[0] == ((10, 1), (6, 5), (6, 5), (2, 2, 2, 2, 2, 1))
     lines = catalog_lines(res)
     assert lines[0]["n"] == 11 and lines[0]["defect"] == 2
+    assert lines[0]["entries"] == [[10, 1], [6, 5], [6, 5], [2, 2, 2, 2, 2, 1]]
     assert lines[0]["series_names"] == ["Pi_11"]
+
+
+def test_catalog_lines_rejects_non_rigid_vectors():
+    # case omega at n=4 has defect 4
+    omega = tuple(mv.parts for mv in case_omega(4).pmv())
+    with pytest.raises(RuntimeError, match=r"defect is 4, not 2$"):
+        catalog_lines([omega])
+    with pytest.raises(RuntimeError, match=r"entries are not all of size 3$"):
+        catalog_lines([((2, 1), (2, 1), (1, 1, 1, 1))])
 
 
 def test_canonical_form_sorts_entries():

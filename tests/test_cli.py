@@ -233,6 +233,42 @@ def test_enum_rigid_resource_guard(capsys, monkeypatch):
     assert code == 0
 
 
+def test_enum_rigid_node_budget(capsys, monkeypatch):
+    import dspkit.catalog as cat
+
+    monkeypatch.setattr(cat, "DEFAULT_MAX_ENUM_NODES", 43)
+    code, out, err = run(capsys, "enum-rigid", "--n", "8", "--entries", "3")
+    assert code == 3 and not out
+    assert err == "error: the walk to n=8 expands more than 43 nodes\n"
+    monkeypatch.setattr(cat, "DEFAULT_MAX_ENUM_NODES", 44)
+    code, out, _ = run(capsys, "enum-rigid", "--n", "8", "--entries", "3")
+    assert code == 0 and out.endswith("total: 45\n")
+
+
+_CLASSIFY = ["--u", "2", "--no-all-ones", "--no-scalar"]
+
+
+@pytest.mark.parametrize("args, json_digest, text_digest", [
+    (["--n", "22", "--entries", "3", *_CLASSIFY],
+     "0d4f8c23649cec00e06ab6a64a8962f3673578fa46a9cae9a5b74a5cb42f3ffd",
+     "0bb6f617b28bd54c994436f9480bbbd652836d29fbb515c742834a3e5aceefa1"),
+    (["--n", "34", "--entries", "3", *_CLASSIFY],
+     "c4b736324c4decfe510537db4f9b2de1110ac81f2b0d889271e15fea7c47dbb7",
+     "2f96d0e0a0cd244e5eac12e08e383f8ae7d993551dd604c49b0647a7b56fcc78"),
+    (["--n", "14", "--entries", "3", "--no-scalar"],
+     "476a2b9da7e12982e97fd72ab7b3dc4ebf3f3aa6f54fa5f9548e0431bd449149",
+     "291f7bb9a0cc9551ec3763cbe8c04b0faa3f44ab8bea21653b26bd6f564ac76b"),
+    (["--n", "12", "--entries", "4", "--no-scalar"],
+     "e92d0da1de473a72d315122ee057afca0fa4180b48c46666d14081249803d791",
+     "6910357c0d00aecb4b58fbc9400b239aff8a8fcdbb3fe1b4dc57bbcb377d7064"),
+])
+def test_enum_rigid_output_is_byte_stable(capsys, args, json_digest, text_digest):
+    for extra, digest in (["--json"], json_digest), ([], text_digest):
+        code, out, _ = run(capsys, "enum-rigid", *args, *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
+
+
 def test_enum_rigid_rejects_other_defects(capsys):
     code, out, err = run(capsys, "enum-rigid", "--n", "6", "--entries", "3", "--defect", "4")
     assert code == 2 and not out
