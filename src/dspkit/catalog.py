@@ -4,8 +4,7 @@ running the reduction step backwards.
 
 A tuple is rigid when its defect 2n^2 - sum(d_j) equals 2.  The catalog stores
 one generator per named family, each family's reduction chain, and a per-size
-index, keyed on int vectors, that names catalog members in traces and in the
-enumerator's output, which is int vectors too, not ``JnfTuple`` objects.
+index on int vectors that names catalog members in traces and in enumerator output.
 """
 
 from __future__ import annotations
@@ -22,14 +21,13 @@ from .errors import (
     UndefinedMoveError,
 )
 from .jnf import JnfTuple
-from .partitions import Partition, normalize
+from .partitions import Partition, format_vectors, normalize
 from .reduction import decide, solvable_pmv
 
 #: Default guard for the enumerator (overridable, e.g. via DSPKIT_MAX_N).
 DEFAULT_MAX_ENUM_N = 40
-#: Default budget of tree nodes the enumerator expands.  Triples with no scalar take
-#: 1,526 at n=14, 93,014 at n=24, 587,660 at n=30 (34 s); u=2 sweeps to n=60 under
-#: 1,000.  Tripped at n=34, the walk stops after 57 s at 102 MB RSS (Python 3.11).
+#: Budget of expanded tree nodes (not leaves or part choices per node).  Tripped with no
+#: scalar: 57 s / 102 MB RSS for triples at n=34, 282 s / 26 MB for 6 entries at n=40.
 DEFAULT_MAX_ENUM_NODES = 1_000_000
 MAX_ENUM_ENTRIES = 6
 
@@ -396,7 +394,7 @@ class ChainStep:
     mvs: tuple[Partition, ...]
 
     def __str__(self) -> str:
-        return ";".join(map(str, self.mvs))
+        return format_vectors(mv.parts for mv in self.mvs)
 
 
 def expected_chain(sid: SeriesId | str) -> list[ChainStep]:
@@ -466,10 +464,9 @@ class EnumConstraints:
 
 
 def _children(parent: _Vectors, max_n: int, u: int) -> set[_Vectors]:
-    """Canonical tuples of size <= ``max_n`` that one reduction step takes to ``parent``:
-    entry j gains k = (E-2)*n1 - sum(x_j) on one part x_j (or on a new part, x_j = 0),
-    and x_j + k must be a largest part, since the step cuts one.  A child with no entry
-    of parts <= ``u`` (no x_j + k <= u) is left out: the step never raises a part."""
+    """Canonical tuples of size <= ``max_n``, with an entry of parts <= ``u``, that one
+    reduction step takes to ``parent``: entry j gains k = (E-2)*n1 - sum(x_j) on one
+    part x_j (or on a new part, x_j = 0), and x_j + k must be a largest part."""
     n1 = sum(parent[0])
     base = (len(parent) - 2) * n1
     # per entry: each part x (0 for none) -> what is left of the entry without it
@@ -492,8 +489,7 @@ def _children(parent: _Vectors, max_n: int, u: int) -> set[_Vectors]:
     return out
 
 
-def enumerate_rigid(c: EnumConstraints, *, max_n: int | None = None,
-                    max_nodes: int | None = None) -> list[_Vectors]:
+def enumerate_rigid(c: EnumConstraints, *, max_n: int | None = None) -> list[_Vectors]:
     """All solvable rigid diagonal tuples meeting the constraints, up to entry
     permutation, as sorted canonical vectors: int tuples, parts and entries descending.
 
@@ -501,11 +497,10 @@ def enumerate_rigid(c: EnumConstraints, *, max_n: int | None = None,
     they form a tree (Katz's algorithm run backwards) that the walk grows up to
     size ``c.n``, keeping scalar entries as (n).  The step never raises a part,
     so ``max_first_part`` prunes it.  Outputs are checked with ``solvable_pmv``.
-    Past ``max_n`` or ``max_nodes`` expanded nodes it raises ``ResourceLimitError``.
+    ``ResourceLimitError`` past ``max_n`` or ``DEFAULT_MAX_ENUM_NODES`` nodes.
     """
     limit = DEFAULT_MAX_ENUM_N if max_n is None else max_n
-    budget = DEFAULT_MAX_ENUM_NODES if max_nodes is None else max_nodes
-    expanded = 0
+    expanded, budget = 0, DEFAULT_MAX_ENUM_NODES
     if c.n > limit:
         raise ResourceLimitError(f"n={c.n} exceeds the enumeration guard {limit}")
     if c.num_entries > MAX_ENUM_ENTRIES:
@@ -529,8 +524,8 @@ def enumerate_rigid(c: EnumConstraints, *, max_n: int | None = None,
 
 
 def catalog_lines(tuples: Iterable[_Vectors]) -> list[dict]:
-    """JSON-ready records of ``enumerate_rigid`` outputs, with defect and catalog
-    names; ``RuntimeError`` if entries differ in size or the defect is not 2."""
+    """JSON-ready records of rigid vectors (``enumerate_rigid``'s, or in any entry or part
+    order) with defect and names; ``RuntimeError`` if sizes differ or the defect is not 2."""
     out = []
     for mvs in tuples:
         n = sum(mvs[0])
@@ -539,6 +534,7 @@ def catalog_lines(tuples: Iterable[_Vectors]) -> list[dict]:
         value = 2 * n * n - sum(n * n - sum(x * x for x in mv) for mv in mvs)
         if value != 2:
             raise RuntimeError(f"{mvs}: defect is {value}, not 2")
+        key = tuple(sorted((tuple(sorted(mv, reverse=True)) for mv in mvs), reverse=True))
         out.append({"n": n, "entries": [list(mv) for mv in mvs], "defect": value,
-                    "series_names": list(_names_by_pmv(n).get(mvs, ()))})
+                    "series_names": list(_names_by_pmv(n).get(key, ()))})
     return out

@@ -137,7 +137,7 @@ def _cmd_defect(args) -> int:
 
 
 def _cmd_enum_rigid(args) -> int:
-    from . import catalog
+    from . import catalog, partitions
 
     if args.defect != 2:
         raise ValueError(f"only defect 2 (rigid) can be enumerated, not {args.defect}")
@@ -156,7 +156,7 @@ def _cmd_enum_rigid(args) -> int:
             _emit_json(record)
     else:
         for record in records:
-            text = ";".join("(" + ",".join(map(str, mv)) + ")" for mv in record["entries"])
+            text = partitions.format_vectors(record["entries"])
             names = ",".join(record["series_names"]) or "-"
             print(f"{text}  defect={record['defect']}  [{names}]")
         print(f"total: {len(records)}")

@@ -45,7 +45,12 @@ class Partition:
         return self.parts[i]
 
     def __str__(self) -> str:
-        return "(" + ",".join(map(str, self.parts)) + ")"
+        return format_vectors((self.parts,))
+
+
+def format_vectors(mvs: Iterable[Iterable[int]]) -> str:
+    """The ``(a,b);(c)`` text form of multiplicity vectors, used by every printer."""
+    return ";".join("(" + ",".join(map(str, mv)) + ")" for mv in mvs)
 
 
 def normalize(raw: Iterable[int]) -> Partition:

@@ -296,12 +296,17 @@ def test_enumerate_resource_guard():
     assert enumerate_rigid(_constraints(41, 3), max_n=41) is not None
 
 
-def test_enumerate_node_budget():
+def test_enumerate_node_budget(monkeypatch):
+    import dspkit.catalog as cat
+
     # triples at n=8, scalars included, expand 44 nodes
     c = EnumConstraints(n=8, num_entries=3)
-    assert enumerate_rigid(c, max_nodes=44) == enumerate_rigid(c)
+    want = enumerate_rigid(c)
+    monkeypatch.setattr(cat, "DEFAULT_MAX_ENUM_NODES", 44)
+    assert enumerate_rigid(c) == want
+    monkeypatch.setattr(cat, "DEFAULT_MAX_ENUM_NODES", 43)
     with pytest.raises(ResourceLimitError, match=r"^the walk to n=8 expands more than 43 nodes$"):
-        enumerate_rigid(c, max_nodes=43)
+        enumerate_rigid(c)
 
 
 def test_rank_sum_over_u2_outputs():
@@ -433,6 +438,9 @@ def test_catalog_lines_shape():
     assert lines[0]["n"] == 11 and lines[0]["defect"] == 2
     assert lines[0]["entries"] == [[10, 1], [6, 5], [6, 5], [2, 2, 2, 2, 2, 1]]
     assert lines[0]["series_names"] == ["Pi_11"]
+    # names are found in any entry order and with parts ascending
+    shuffled = ((1, 10), (2, 2, 2, 2, 2, 1), (5, 6), (6, 5))
+    assert catalog_lines([shuffled])[0]["series_names"] == ["Pi_11"]
 
 
 def test_catalog_lines_rejects_non_rigid_vectors():
