@@ -11,10 +11,9 @@ __version__ = "0.1.0"
 #: Each submodule and the names the package exports from it.
 _EXPORTS = {
     "catalog": (
-        "ChainStep", "EnumConstraints", "SeriesId", "all_series_ids", "antipassage_targets",
-        "canonical_form", "case_omega", "catalog_lines", "defect", "enumerate_rigid",
-        "expected_chain", "identify", "is_rigid", "min_d_mv", "parse_series_id", "passage",
-        "series", "verify_chain",
+        "ChainStep", "SeriesId", "all_series_ids", "antipassage_targets", "case_omega",
+        "catalog_lines", "defect", "enumerate_rigid", "expected_chain", "identify", "is_rigid",
+        "min_d_mv", "parse_series_id", "passage", "series", "verify_chain",
     ),
     "errors": (
         "ChainMismatchError", "DspkitError", "ObstructionError", "PreconditionError",

@@ -2,9 +2,10 @@
 and the enumerator of rigid diagonal tuples, which grows them from size 1 by
 running the reduction step backwards.
 
-A tuple is rigid when its defect 2n^2 - sum(d_j) equals 2.  The catalog stores
-one generator per named family, each family's reduction chain, and a per-size
-index on int vectors that names catalog members in traces and in enumerator output.
+A tuple is rigid when its defect 2n^2 - sum(d_j) equals 2.  The catalog holds one
+record per named family (its size map, parameter range, generator and successor in
+the reduction chain) and a per-size index on int vectors that names catalog members
+in traces and in enumerator output.
 """
 
 from __future__ import annotations
@@ -145,6 +146,9 @@ class _Family:
     n_of: Callable[[int], int]  # increasing in the parameter
     ok: Callable[[int], bool]
     build: Callable[[int], list[list[int]]]
+    # the next instance in the reduction chain, asked only of instances of size > 1; an
+    # ``int`` means the chain ends in that many size-1 entries with no catalog name
+    succ: Callable[[int], SeriesId | int]
 
 
 def _tw(twos: int, ones: int) -> list[int]:
@@ -154,122 +158,167 @@ def _tw(twos: int, ones: int) -> list[int]:
 FAMILIES: dict[str, _Family] = {
     # triples indexed by k
     "W": _Family(lambda k: 3 * k + 1, lambda k: k >= 0,
-                 lambda k: [[k, k, k + 1]] * 3),
+                 lambda k: [[k, k, k + 1]] * 3, lambda k: SeriesId("B", k)),
     "B": _Family(lambda k: 3 * k - 1, lambda k: k >= 1,
-                 lambda k: [[k, k, k - 1]] * 3),
+                 lambda k: [[k, k, k - 1]] * 3, lambda k: SeriesId("W", k - 1)),
     "C": _Family(lambda k: 3 * k, lambda k: k >= 1,
-                 lambda k: [[k, k, k], [k, k, k], [k, k + 1, k - 1]]),
+                 lambda k: [[k, k, k], [k, k, k], [k, k + 1, k - 1]], lambda k: SeriesId("B", k)),
     "D": _Family(lambda k: 4 * k + 1, lambda k: k >= 0,
-                 lambda k: [[k, k, k, k + 1], [k, k, k, k + 1], [2 * k, 2 * k + 1]]),
+                 lambda k: [[k, k, k, k + 1], [k, k, k, k + 1], [2 * k, 2 * k + 1]],
+                 lambda k: SeriesId("E", k)),
     "E": _Family(lambda k: 4 * k - 1, lambda k: k >= 1,
-                 lambda k: [[k, k, k, k - 1], [k, k, k, k - 1], [2 * k, 2 * k - 1]]),
+                 lambda k: [[k, k, k, k - 1], [k, k, k, k - 1], [2 * k, 2 * k - 1]],
+                 lambda k: SeriesId("G", k - 1)),
     "F": _Family(lambda k: 4 * k, lambda k: k >= 1,
-                 lambda k: [[k] * 4, [k] * 4, [2 * k + 1, 2 * k - 1]]),
+                 lambda k: [[k] * 4, [k] * 4, [2 * k + 1, 2 * k - 1]], lambda k: SeriesId("E", k)),
     "Phi": _Family(lambda k: 4 * k, lambda k: k >= 1,
-                   lambda k: [[k, k, k + 1, k - 1], [k] * 4, [2 * k, 2 * k]]),
+                   lambda k: [[k, k, k + 1, k - 1], [k] * 4, [2 * k, 2 * k]],
+                   lambda k: SeriesId("E", k)),
     "G": _Family(lambda k: 4 * k + 2, lambda k: k >= 0,
-                 lambda k: [[k, k, k + 1, k + 1], [k, k, k + 1, k + 1], [2 * k + 1, 2 * k + 1]]),
+                 lambda k: [[k, k, k + 1, k + 1], [k, k, k + 1, k + 1], [2 * k + 1, 2 * k + 1]],
+                 lambda k: SeriesId("D", k)),
     "H": _Family(lambda k: 6 * k + 1, lambda k: k >= 0,
-                 lambda k: [[k] * 5 + [k + 1], [3 * k, 3 * k + 1], [2 * k, 2 * k, 2 * k + 1]]),
+                 lambda k: [[k] * 5 + [k + 1], [3 * k, 3 * k + 1], [2 * k, 2 * k, 2 * k + 1]],
+                 lambda k: SeriesId("I", k)),
     "I": _Family(lambda k: 6 * k - 1, lambda k: k >= 1,
-                 lambda k: [[k] * 5 + [k - 1], [3 * k, 3 * k - 1], [2 * k, 2 * k, 2 * k - 1]]),
+                 lambda k: [[k] * 5 + [k - 1], [3 * k, 3 * k - 1], [2 * k, 2 * k, 2 * k - 1]],
+                 lambda k: SeriesId("P", k)),
     "J": _Family(lambda k: 6 * k, lambda k: k >= 1,
-                 lambda k: [[k] * 6, [3 * k + 1, 3 * k - 1], [2 * k] * 3]),
+                 lambda k: [[k] * 6, [3 * k + 1, 3 * k - 1], [2 * k] * 3],
+                 lambda k: SeriesId("I", k)),
     "K": _Family(lambda k: 6 * k, lambda k: k >= 1,
-                 lambda k: [[k] * 6, [3 * k, 3 * k], [2 * k, 2 * k + 1, 2 * k - 1]]),
+                 lambda k: [[k] * 6, [3 * k, 3 * k], [2 * k, 2 * k + 1, 2 * k - 1]],
+                 lambda k: SeriesId("I", k)),
     "L": _Family(lambda k: 6 * k, lambda k: k >= 1,
-                 lambda k: [[k] * 4 + [k + 1, k - 1], [3 * k, 3 * k], [2 * k] * 3]),
+                 lambda k: [[k] * 4 + [k + 1, k - 1], [3 * k, 3 * k], [2 * k] * 3],
+                 lambda k: SeriesId("I", k)),
     "V": _Family(lambda k: 6 * k + 2, lambda k: k >= 0,
                  lambda k: [[k] * 4 + [k + 1, k + 1], [3 * k + 1, 3 * k + 1],
-                            [2 * k, 2 * k + 1, 2 * k + 1]]),
+                            [2 * k, 2 * k + 1, 2 * k + 1]],
+                 lambda k: SeriesId("H", k)),
     "N": _Family(lambda k: 6 * k + 3, lambda k: k >= 0,
-                 lambda k: [[k] * 3 + [k + 1] * 3, [3 * k + 1, 3 * k + 2], [2 * k + 1] * 3]),
+                 lambda k: [[k] * 3 + [k + 1] * 3, [3 * k + 1, 3 * k + 2], [2 * k + 1] * 3],
+                 lambda k: SeriesId("V", k)),
     "P": _Family(lambda k: 6 * k - 2, lambda k: k >= 1,
                  lambda k: [[k] * 4 + [k - 1] * 2, [3 * k - 1, 3 * k - 1],
-                            [2 * k, 2 * k - 1, 2 * k - 1]]),
+                            [2 * k, 2 * k - 1, 2 * k - 1]],
+                 lambda k: SeriesId("N", k - 1)),
     # quadruples / quintuple indexed by k; R_1's fourth vector degenerates to a
     # scalar, so R starts at 2
     "R": _Family(lambda k: 2 * k, lambda k: k >= 2,
-                 lambda k: [[k, k]] * 3 + [[k + 1, k - 1]]),
+                 lambda k: [[k, k]] * 3 + [[k + 1, k - 1]], lambda k: SeriesId("S", k - 1)),
     "S": _Family(lambda k: 2 * k + 1, lambda k: k >= 0,
-                 lambda k: [[k + 1, k]] * 4),
+                 lambda k: [[k + 1, k]] * 4, lambda k: SeriesId("S", k - 1)),
     "T": _Family(lambda k: 4 * k, lambda k: k >= 1,
-                 lambda k: [[2 * k + 1, 2 * k - 1]] + [[3 * k, k]] * 4),
+                 lambda k: [[2 * k + 1, 2 * k - 1]] + [[3 * k, k]] * 4,
+                 lambda k: 5 if k == 1 else SeriesId("S", k - 1)),
     # classical triples indexed by n
     "HG": _Family(lambda n: n, lambda n: n >= 1,
-                  lambda n: [[n - 1, 1], [1] * n, [1] * n]),
+                  lambda n: [[n - 1, 1], [1] * n, [1] * n], lambda n: SeriesId("HG", n - 1)),
     "OF": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
                   lambda n: [[(n + 1) // 2, (n - 1) // 2],
-                             [(n - 1) // 2, (n - 1) // 2, 1], [1] * n]),
+                             [(n - 1) // 2, (n - 1) // 2, 1], [1] * n],
+                  lambda n: SeriesId("HG", 2) if n == 3 else SeriesId("EF", n - 1)),
     "EF": _Family(lambda n: n, lambda n: n >= 2 and n % 2 == 0,
-                  lambda n: [[n // 2, n // 2], [n // 2, (n - 2) // 2, 1], [1] * n]),
+                  lambda n: [[n // 2, n // 2], [n // 2, (n - 2) // 2, 1], [1] * n],
+                  lambda n: SeriesId("HG", 1) if n == 2 else SeriesId("OF", n - 1)),
     "FF": _Family(lambda n: n, lambda n: 5 <= n <= 8,
-                  lambda n: [[2] + [1] * (n - 2), _tw(n - 4, 8 - n), [n - 2, 2]]),
+                  lambda n: [[2] + [1] * (n - 2), _tw(n - 4, 8 - n), [n - 2, 2]],
+                  lambda n: {5: SeriesId("HG", 3), 6: SeriesId("Y1", 4),
+                             7: SeriesId("Z2", 5), 8: SeriesId("Gamma1", 6)}[n]),
     "OG": _Family(lambda k: 2 * k + 1, lambda k: k >= 1,
-                  lambda k: [_tw(k - 1, 3), _tw(k, 1), [2 * k - 1, 1, 1]]),
+                  lambda k: [_tw(k - 1, 3), _tw(k, 1), [2 * k - 1, 1, 1]],
+                  lambda k: SeriesId("HG", 2) if k == 1 else SeriesId("OG", k - 1)),
     # the (n+1)-entry hook series
     "Star": _Family(lambda n: n, lambda n: n >= 2,
-                    lambda n: [[n - 1, 1]] * (n + 1)),
+                    lambda n: [[n - 1, 1]] * (n + 1), lambda n: n + 1),
     # quadruple classification families (even/odd n)
     "Xi": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
-                  lambda n: [[2] * (n // 2), [n // 2] * 2, [n // 2] * 2, [n - 1, 1]]),
+                  lambda n: [[2] * (n // 2), [n // 2] * 2, [n // 2] * 2, [n - 1, 1]],
+                  lambda n: SeriesId("Pi", n - 1)),
     "Theta": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
                      lambda n: [_tw((n - 2) // 2, 2), [n // 2] * 2,
-                                [n // 2 + 1, n // 2 - 1], [n - 1, 1]]),
+                                [n // 2 + 1, n // 2 - 1], [n - 1, 1]],
+                     lambda n: SeriesId("HG", 2) if n == 4 else SeriesId("Theta", n - 2)),
     "Psi6": _Family(lambda n: n, lambda n: n == 6,
-                    lambda n: [[2, 2, 2], [3, 3], [4, 1, 1], [5, 1]]),
+                    lambda n: [[2, 2, 2], [3, 3], [4, 1, 1], [5, 1]],
+                    lambda n: SeriesId("Theta", 4)),
     "Pi": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
                   lambda n: [_tw((n - 1) // 2, 1), [(n + 1) // 2, (n - 1) // 2],
-                             [(n + 1) // 2, (n - 1) // 2], [n - 1, 1]]),
+                             [(n + 1) // 2, (n - 1) // 2], [n - 1, 1]],
+                  lambda n: SeriesId("S", 0) if n == 3 else SeriesId("Pi", n - 2)),
     "Delta": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
-                     lambda n: [_tw((n - 1) // 2, 1)] * 2 + [[n - 1, 1]] * 2),
+                     lambda n: [_tw((n - 1) // 2, 1)] * 2 + [[n - 1, 1]] * 2,
+                     lambda n: SeriesId("S", 0) if n == 3 else SeriesId("Delta", n - 2)),
     # triple classification families, n even
     "Gamma1": _Family(lambda n: n, lambda n: n >= 6 and n % 2 == 0,
-                      lambda n: [[2] * (n // 2), _tw((n - 6) // 2, 6), [n - 2, 2]]),
+                      lambda n: [[2] * (n // 2), _tw((n - 6) // 2, 6), [n - 2, 2]],
+                      lambda n: SeriesId("X1", 5) if n == 6 else SeriesId("Gamma1", n - 2)),
     "Gamma2": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
-                      lambda n: [_tw((n - 2) // 2, 2), _tw((n - 4) // 2, 4), [n - 2, 2]]),
+                      lambda n: [_tw((n - 2) // 2, 2), _tw((n - 4) // 2, 4), [n - 2, 2]],
+                      lambda n: SeriesId("HG", 3) if n == 4 else SeriesId("Gamma2", n - 2)),
     "Gamma3": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
-                      lambda n: [_tw((n - 2) // 2, 2)] * 2 + [[n - 2, 1, 1]]),
+                      lambda n: [_tw((n - 2) // 2, 2)] * 2 + [[n - 2, 1, 1]],
+                      lambda n: SeriesId("HG", 2) if n == 4 else SeriesId("Gamma3", n - 2)),
     "Gamma4": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
-                      lambda n: [[2] * (n // 2), _tw((n - 4) // 2, 4), [n - 2, 1, 1]]),
+                      lambda n: [[2] * (n // 2), _tw((n - 4) // 2, 4), [n - 2, 1, 1]],
+                      lambda n: SeriesId("HG", 3) if n == 4 else SeriesId("Gamma4", n - 2)),
     "Y1": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
                   lambda n: [_tw((n - 4) // 2, 4), [(n - 2) // 2, (n - 2) // 2, 2],
-                             [n // 2, n // 2]]),
+                             [n // 2, n // 2]],
+                  lambda n: SeriesId("HG", 3) if n == 4 else SeriesId("Z2", n - 1)),
     "Y2": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
                   lambda n: [_tw((n - 2) // 2, 2), [(n - 2) // 2, (n - 2) // 2, 1, 1],
-                             [n // 2, n // 2]]),
+                             [n // 2, n // 2]],
+                  lambda n: SeriesId("Z3", n - 1)),
     "Y3": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
                   lambda n: [_tw((n - 4) // 2, 4), [n // 2, (n - 4) // 2, 1, 1],
-                             [n // 2, n // 2]]),
+                             [n // 2, n // 2]],
+                  lambda n: SeriesId("HG", 3) if n == 4 else SeriesId("Y6", n - 2)),
     "Y4": _Family(lambda n: n, lambda n: n >= 6 and n % 2 == 0,
                   lambda n: [_tw((n - 6) // 2, 6), [n // 2, (n - 4) // 2, 2],
-                             [n // 2, n // 2]]),
+                             [n // 2, n // 2]],
+                  lambda n: SeriesId("Z2", 5) if n == 6 else SeriesId("Y7", n - 2)),
     "Y5": _Family(lambda n: n, lambda n: n >= 2 and n % 2 == 0,
                   lambda n: [_tw((n - 2) // 2, 2), [n // 2, (n - 2) // 2, 1],
-                             [n // 2, (n - 2) // 2, 1]]),
+                             [n // 2, (n - 2) // 2, 1]],
+                  lambda n: SeriesId("HG", 1) if n == 2 else SeriesId("Y5", n - 2)),
     "Y6": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
                   lambda n: [_tw((n - 4) // 2, 4), [(n - 2) // 2, (n - 2) // 2, 1, 1],
-                             [(n + 2) // 2, (n - 2) // 2]]),
+                             [(n + 2) // 2, (n - 2) // 2]],
+                  lambda n: SeriesId("HG", 3) if n == 4 else SeriesId("Y3", n - 2)),
     "Y7": _Family(lambda n: n, lambda n: n >= 6 and n % 2 == 0,
                   lambda n: [_tw((n - 6) // 2, 6), [(n - 2) // 2, (n - 2) // 2, 2],
-                             [(n + 2) // 2, (n - 2) // 2]]),
+                             [(n + 2) // 2, (n - 2) // 2]],
+                  lambda n: SeriesId("X1", 5) if n == 6 else SeriesId("Y4", n - 2)),
     # triple classification families, n odd
     "X1": _Family(lambda n: n, lambda n: n >= 5 and n % 2 == 1,
-                  lambda n: [_tw((n - 5) // 2, 5), _tw((n - 1) // 2, 1), [n - 2, 2]]),
+                  lambda n: [_tw((n - 5) // 2, 5), _tw((n - 1) // 2, 1), [n - 2, 2]],
+                  lambda n: SeriesId("Gamma2", 4) if n == 5 else SeriesId("X1", n - 2)),
     "X2": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
-                  lambda n: [_tw((n - 3) // 2, 3)] * 2 + [[n - 2, 2]]),
+                  lambda n: [_tw((n - 3) // 2, 3)] * 2 + [[n - 2, 2]],
+                  lambda n: SeriesId("HG", 2) if n == 3 else SeriesId("X2", n - 2)),
     "Z1": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
                   lambda n: [_tw((n - 1) // 2, 1), [(n - 1) // 2, (n - 1) // 2, 1],
-                             [(n - 1) // 2, (n - 1) // 2, 1]]),
+                             [(n - 1) // 2, (n - 1) // 2, 1]],
+                  lambda n: SeriesId("Y5", n - 1)),
     "Z2": _Family(lambda n: n, lambda n: n >= 5 and n % 2 == 1,
                   lambda n: [_tw((n - 5) // 2, 5), [(n - 1) // 2, (n - 3) // 2, 2],
-                             [(n + 1) // 2, (n - 1) // 2]]),
+                             [(n + 1) // 2, (n - 1) // 2]],
+                  lambda n: SeriesId("Gamma4", 4) if n == 5 else SeriesId("Z2", n - 2)),
     "Z3": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
                   lambda n: [_tw((n - 3) // 2, 3), [(n - 1) // 2, (n - 3) // 2, 1, 1],
-                             [(n + 1) // 2, (n - 1) // 2]]),
+                             [(n + 1) // 2, (n - 1) // 2]],
+                  lambda n: SeriesId("HG", 2) if n == 3 else SeriesId("Z3", n - 2)),
     "Z4": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
                   lambda n: [_tw((n - 3) // 2, 3), [(n - 1) // 2, (n - 1) // 2, 1],
-                             [(n + 1) // 2, (n - 3) // 2, 1]]),
+                             [(n + 1) // 2, (n - 3) // 2, 1]],
+                  lambda n: SeriesId("HG", 2) if n == 3 else SeriesId("Z4", n - 2)),
+    # even-n quadruples that the classical Xi/Theta/Psi6 table misses; Lambda_4 would
+    # be Theta_4
+    "Lambda": _Family(lambda n: n, lambda n: n >= 6 and n % 2 == 0,
+                      lambda n: [[n - 1, 1], [n - 1, 1], [2] * (n // 2), _tw((n - 2) // 2, 2)],
+                      lambda n: SeriesId("Theta", 4) if n == 6 else SeriesId("Lambda", n - 2)),
 }
 
 
@@ -303,11 +352,6 @@ def all_series_ids(max_n: int) -> Iterator[SeriesId]:
             param += 1
 
 
-def canonical_form(t: JnfTuple) -> JnfTuple:
-    """Entry order normalized (descending); tuples equal up to permutation agree."""
-    return JnfTuple(tuple(sorted(t.entries, reverse=True)))
-
-
 _Vectors = tuple[tuple[int, ...], ...]
 
 
@@ -332,61 +376,6 @@ def identify(t: JnfTuple) -> list[str]:
 # ---------------------------------------------------------------------------
 # reduction chains
 
-_Succ = Callable[[int], "SeriesId | int | None"]
-
-# Successor of each family instance in its reduction chain.  An ``int`` value
-# means the chain ends in that many size-1 entries with no catalog name.
-_SUCCESSORS: dict[str, _Succ] = {
-    "W": lambda k: None if k == 0 else SeriesId("B", k),
-    "B": lambda k: SeriesId("W", k - 1),
-    "C": lambda k: SeriesId("B", k),
-    "D": lambda k: None if k == 0 else SeriesId("E", k),
-    "E": lambda k: SeriesId("G", k - 1),
-    "F": lambda k: SeriesId("E", k),
-    "Phi": lambda k: SeriesId("E", k),
-    "G": lambda k: SeriesId("D", k),
-    "H": lambda k: None if k == 0 else SeriesId("I", k),
-    "I": lambda k: SeriesId("P", k),
-    "J": lambda k: SeriesId("I", k),
-    "K": lambda k: SeriesId("I", k),
-    "L": lambda k: SeriesId("I", k),
-    "P": lambda k: SeriesId("N", k - 1),
-    "N": lambda k: SeriesId("V", k),
-    "V": lambda k: SeriesId("H", k),
-    "R": lambda k: SeriesId("S", k - 1),
-    "S": lambda k: None if k == 0 else SeriesId("S", k - 1),
-    "T": lambda k: 5 if k == 1 else SeriesId("S", k - 1),
-    "HG": lambda n: None if n == 1 else SeriesId("HG", n - 1),
-    "OF": lambda n: SeriesId("HG", 2) if n == 3 else SeriesId("EF", n - 1),
-    "EF": lambda n: SeriesId("HG", 1) if n == 2 else SeriesId("OF", n - 1),
-    "FF": lambda n: {5: SeriesId("HG", 3), 6: SeriesId("Y1", 4),
-                     7: SeriesId("Z2", 5), 8: SeriesId("Gamma1", 6)}[n],
-    "OG": lambda k: SeriesId("HG", 2) if k == 1 else SeriesId("OG", k - 1),
-    "Star": lambda n: n + 1,
-    "Xi": lambda n: SeriesId("Pi", n - 1),
-    "Theta": lambda n: SeriesId("HG", 2) if n == 4 else SeriesId("Theta", n - 2),
-    "Psi6": lambda n: SeriesId("Theta", 4),
-    "Pi": lambda n: SeriesId("S", 0) if n == 3 else SeriesId("Pi", n - 2),
-    "Delta": lambda n: SeriesId("S", 0) if n == 3 else SeriesId("Delta", n - 2),
-    "Gamma1": lambda n: SeriesId("X1", 5) if n == 6 else SeriesId("Gamma1", n - 2),
-    "Gamma2": lambda n: SeriesId("HG", 3) if n == 4 else SeriesId("Gamma2", n - 2),
-    "Gamma3": lambda n: SeriesId("HG", 2) if n == 4 else SeriesId("Gamma3", n - 2),
-    "Gamma4": lambda n: SeriesId("HG", 3) if n == 4 else SeriesId("Gamma4", n - 2),
-    "X1": lambda n: SeriesId("Gamma2", 4) if n == 5 else SeriesId("X1", n - 2),
-    "X2": lambda n: SeriesId("HG", 2) if n == 3 else SeriesId("X2", n - 2),
-    "Y1": lambda n: SeriesId("HG", 3) if n == 4 else SeriesId("Z2", n - 1),
-    "Y2": lambda n: SeriesId("Z3", n - 1),
-    "Y3": lambda n: SeriesId("HG", 3) if n == 4 else SeriesId("Y6", n - 2),
-    "Y4": lambda n: SeriesId("Z2", 5) if n == 6 else SeriesId("Y7", n - 2),
-    "Y5": lambda n: SeriesId("HG", 1) if n == 2 else SeriesId("Y5", n - 2),
-    "Y6": lambda n: SeriesId("HG", 3) if n == 4 else SeriesId("Y3", n - 2),
-    "Y7": lambda n: SeriesId("X1", 5) if n == 6 else SeriesId("Y4", n - 2),
-    "Z1": lambda n: SeriesId("Y5", n - 1),
-    "Z2": lambda n: SeriesId("Gamma4", 4) if n == 5 else SeriesId("Z2", n - 2),
-    "Z3": lambda n: SeriesId("HG", 2) if n == 3 else SeriesId("Z3", n - 2),
-    "Z4": lambda n: SeriesId("HG", 2) if n == 3 else SeriesId("Z4", n - 2),
-}
-
 
 @dataclass(frozen=True)
 class ChainStep:
@@ -402,20 +391,16 @@ def expected_chain(sid: SeriesId | str) -> list[ChainStep]:
     if isinstance(sid, str):
         sid = parse_series_id(sid)
     chain: list[ChainStep] = []
-    cur: SeriesId | None = sid
-    while cur is not None:
-        mvs = series_mvs(cur)
-        chain.append(ChainStep(str(cur), mvs))
+    while True:
+        mvs = series_mvs(sid)
+        chain.append(ChainStep(str(sid), mvs))
         if mvs[0].size == 1:
-            break
-        nxt = _SUCCESSORS[cur.name](cur.param)
-        if nxt is None:
-            break
+            return chain
+        nxt = FAMILIES[sid.name].succ(sid.param)
         if isinstance(nxt, int):
             chain.append(ChainStep(";".join(["(1)"] * nxt), (Partition((1,)),) * nxt))
-            break
-        cur = nxt
-    return chain
+            return chain
+        sid = nxt
 
 
 def verify_chain(sid: SeriesId | str) -> list[ChainStep]:
@@ -450,27 +435,16 @@ def verify_chain(sid: SeriesId | str) -> list[ChainStep]:
 # enumeration
 
 
-@dataclass(frozen=True)
-class EnumConstraints:
-    n: int
-    num_entries: int
-    max_first_part: int | None = None
-    forbid_all_ones: bool = False
-    forbid_scalar: bool = False
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.num_entries < 2:
-            raise ValueError("need n >= 1 and at least two entries")
-
-
 def _children(parent: _Vectors, max_n: int, u: int) -> set[_Vectors]:
     """Canonical tuples of size <= ``max_n``, with an entry of parts <= ``u``, that one
     reduction step takes to ``parent``: entry j gains k = (E-2)*n1 - sum(x_j) on one
     part x_j (or on a new part, x_j = 0), and x_j + k must be a largest part."""
     n1 = sum(parent[0])
     base = (len(parent) - 2) * n1
-    # per entry: each part x (0 for none) -> what is left of the entry without it
-    left = [{0: mv, **{x: mv[:i] + mv[i + 1:] for i, x in enumerate(mv)}} for mv in parent]
+    # per entry: each distinct part x (0 for none) -> what is left of the entry without it
+    left = [{0: mv, **{x: mv[:i] + mv[i + 1:]
+                       for i, x in enumerate(mv) if not i or mv[i - 1] != x}}
+            for mv in parent]
     out = set()
     for xs in itertools.product(*left):
         k = base - sum(xs)
@@ -489,33 +463,38 @@ def _children(parent: _Vectors, max_n: int, u: int) -> set[_Vectors]:
     return out
 
 
-def enumerate_rigid(c: EnumConstraints, *, max_n: int | None = None) -> list[_Vectors]:
-    """All solvable rigid diagonal tuples meeting the constraints, up to entry
-    permutation, as sorted canonical vectors: int tuples, parts and entries descending.
+def enumerate_rigid(n: int, entries: int, *, u: int | None = None, no_all_ones: bool = False,
+                    no_scalar: bool = False, max_n: int | None = None) -> list[_Vectors]:
+    """All solvable rigid diagonal tuples of size ``n`` with ``entries`` entries, up to
+    entry permutation, as sorted canonical vectors: int tuples, parts and entries descending.
 
-    They reduce step by step to (1);...;(1) and the step is deterministic, so
-    they form a tree (Katz's algorithm run backwards) that the walk grows up to
-    size ``c.n``, keeping scalar entries as (n).  The step never raises a part,
-    so ``max_first_part`` prunes it.  Outputs are checked with ``solvable_pmv``.
-    ``ResourceLimitError`` past ``max_n`` or ``DEFAULT_MAX_ENUM_NODES`` nodes.
+    Filters: an entry with parts <= ``u``, no all-ones entry, no scalar entry.  The
+    tuples reduce step by step to (1);...;(1) and the step is deterministic, so they
+    form a tree (Katz's algorithm run backwards) that the walk grows up to size ``n``,
+    keeping scalar entries as (n).  The step never raises a part, so ``u`` prunes it.
+    Outputs are checked with ``solvable_pmv``.  ``ValueError`` for n < 1 or fewer than
+    two entries; ``ResourceLimitError`` past ``max_n``, ``MAX_ENUM_ENTRIES`` entries or
+    ``DEFAULT_MAX_ENUM_NODES`` nodes.
     """
+    if n < 1 or entries < 2:
+        raise ValueError("need n >= 1 and at least two entries")
     limit = DEFAULT_MAX_ENUM_N if max_n is None else max_n
     expanded, budget = 0, DEFAULT_MAX_ENUM_NODES
-    if c.n > limit:
-        raise ResourceLimitError(f"n={c.n} exceeds the enumeration guard {limit}")
-    if c.num_entries > MAX_ENUM_ENTRIES:
+    if n > limit:
+        raise ResourceLimitError(f"n={n} exceeds the enumeration guard {limit}")
+    if entries > MAX_ENUM_ENTRIES:
         raise ResourceLimitError(f"at most {MAX_ENUM_ENTRIES} entries supported")
     found = []
-    u = c.n if c.max_first_part is None else c.max_first_part
-    stack = [((1,),) * c.num_entries] if u >= 1 else []
+    u = n if u is None else u
+    stack = [((1,),) * entries] if u >= 1 else []
     while stack:
         node = stack.pop()
-        if sum(node[0]) < c.n:
+        if sum(node[0]) < n:
             expanded += 1
             if expanded > budget:
-                raise ResourceLimitError(f"the walk to n={c.n} expands more than {budget} nodes")
-            stack.extend(_children(node, c.n, u))
-        elif not any((c.forbid_scalar and len(mv) == 1) or (c.forbid_all_ones and mv[0] == 1)
+                raise ResourceLimitError(f"the walk to n={n} expands more than {budget} nodes")
+            stack.extend(_children(node, n, u))
+        elif not any((no_scalar and len(mv) == 1) or (no_all_ones and mv[0] == 1)
                      for mv in node):
             if not solvable_pmv(node):
                 raise RuntimeError(f"the tree walk reached {node}, which solvable_pmv rejects")

@@ -6,7 +6,7 @@ failed check or construction exits 1 (a catalog-verify failure, a chain
 mismatch, an obstructed generic-gen), malformed input exits 2, and an exceeded
 resource guard exits 3.  generic-gen certifies its assignment in closed form,
 so unlike generic-check it has no size guard; its --seed, like enum-rigid's
---jobs, is accepted and has no effect.
+--jobs, is accepted and has no effect (perfbench's workloads pass both).
 
 Start-up loads only what the command runs: at module level this file imports
 just the standard library and ``errors``, and each command handler imports its
@@ -141,15 +141,9 @@ def _cmd_enum_rigid(args) -> int:
 
     if args.defect != 2:
         raise ValueError(f"only defect 2 (rigid) can be enumerated, not {args.defect}")
-    constraints = catalog.EnumConstraints(
-        n=args.n,
-        num_entries=args.entries,
-        max_first_part=args.u,
-        forbid_all_ones=args.no_all_ones,
-        forbid_scalar=args.no_scalar,
-    )
     max_n = int(os.environ.get("DSPKIT_MAX_N", str(catalog.DEFAULT_MAX_ENUM_N)))
-    results = catalog.enumerate_rigid(constraints, max_n=max_n)
+    results = catalog.enumerate_rigid(args.n, args.entries, u=args.u, no_all_ones=args.no_all_ones,
+                                      no_scalar=args.no_scalar, max_n=max_n)
     records = catalog.catalog_lines(results)
     if args.json:
         for record in records:

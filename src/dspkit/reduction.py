@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import PreconditionError
 from .jnf import Jnf, JnfTuple, jnf_tuple_to_dict
@@ -97,20 +97,14 @@ def check_conditions(t: JnfTuple) -> ConditionReport:
     )
 
 
-def psi_step(
-    t: JnfTuple,
-    *,
-    slot_choice: Callable[[int, Sequence[int]], int] | None = None,
-) -> JnfTuple:
+def psi_step(t: JnfTuple) -> JnfTuple:
     """One reduction step: shrink from size n to n1 = sum(r_j) - n.
 
-    In every entry an eigenvalue slot with the maximal block count loses 1 from
-    each of its n - n1 smallest blocks; empty blocks (and slots) are deleted.
-    For a diagonal entry this just cuts the largest multiplicity by n - n1.
-
-    ``slot_choice`` may override the tie-break among slots of equal maximal
-    block count (default: first in canonical order).  The verdict of the
-    decision loop does not depend on this choice.  The returned entries may be
+    In every entry the first eigenvalue slot (in canonical order) with the
+    maximal block count loses 1 from each of its n - n1 smallest blocks; empty
+    blocks (and slots) are deleted.  For a diagonal entry this just cuts the
+    largest multiplicity by n - n1.  Cutting another maximal slot would not
+    change the verdict of the decision loop.  The returned entries may be
     shared with earlier results (see the module docstring).
     """
     n = t.n
@@ -126,14 +120,11 @@ def psi_step(
     n1 = n + rep.omega_slack  # = sum(r_j) - n
     k = n - n1
     new_entries = []
-    for idx, e in enumerate(t.entries):
+    for e in t.entries:
         max_count = e.n - e.r
-        candidates = [i for i, s in enumerate(e.slots) if len(s.parts) == max_count]
-        chosen = candidates[0] if slot_choice is None else slot_choice(idx, candidates)
-        if chosen not in candidates:
-            raise PreconditionError("slot_choice must pick a maximal-count slot")
         if k > max_count:  # beta guarantees n - n1 <= n - r_j
             raise RuntimeError(f"block bound broken: cutting {k} from {max_count} blocks")
+        chosen = next(i for i, s in enumerate(e.slots) if len(s.parts) == max_count)
         new_entries.append(_cut(e, chosen, k))
     return JnfTuple(tuple(new_entries))
 

@@ -2,7 +2,8 @@
 
 Every tolerance is exact (integer or rational arithmetic throughout).  The
 classical table of even-size rigid quadruples (`Xi_n`, `Theta_n`, `Psi6`)
-misses a family that the enumerator finds at every even n >= 6:
+misses a family that the enumerator finds at every even n >= 6, catalogued
+as `Lambda_n`:
 
     ((n-1,1), (n-1,1), (2,...,2), (2,...,2,1,1))
 
@@ -23,14 +24,12 @@ import time
 import pytest
 
 from dspkit import (
-    EnumConstraints,
     Jnf,
     JnfTuple,
     ObstructionError,
     Reason,
     SeriesId,
     candidate_assignment,
-    canonical_form,
     case_omega,
     check_conditions,
     corresponding_diagonal,
@@ -47,7 +46,7 @@ from dspkit import (
     trace_condition,
     verify_chain,
 )
-from dspkit.catalog import FAMILIES, all_series_ids
+from dspkit.catalog import FAMILIES, all_series_ids, parse_series_id, series_mvs
 from dspkit.reduction import solvable_pmv
 from helpers import (
     all_jnfs,
@@ -118,6 +117,7 @@ def _next_step(name: str, p: int):
         "Z2": lambda: ("Gamma4", 4) if p == 5 else ("Z2", p - 2),
         "Z3": lambda: ("HG", 2) if p == 3 else ("Z3", p - 2),
         "Z4": lambda: ("HG", 2) if p == 3 else ("Z4", p - 2),
+        "Lambda": lambda: ("Theta", 4) if p == 6 else ("Lambda", p - 2),
     }
     return table[name]()
 
@@ -189,24 +189,23 @@ def test_criterion_03_defect_invariance_random():
     report("03", "defect constant along 10000 traces with at least one reduction step")
 
 
-def _classify(n: int, entries: int) -> list[JnfTuple]:
-    return [JnfTuple.from_pmv(v) for v in enumerate_rigid(EnumConstraints(
-        n=n, num_entries=entries, max_first_part=2,
-        forbid_all_ones=True, forbid_scalar=True))]
+def _classify(n: int, entries: int) -> set[tuple]:
+    """Canonical vectors of the u=2 rigid tuples (no all-ones or scalar entry)."""
+    return set(enumerate_rigid(n, entries, u=2, no_all_ones=True, no_scalar=True))
 
 
-def _expected_set(names: list[str]) -> set[JnfTuple]:
-    return {canonical_form(series(name)) for name in names}
+def _expected_set(names: list[str]) -> set[tuple]:
+    return {tuple(mv.parts for mv in series_mvs(parse_series_id(name))) for name in names}
 
 
 def test_criterion_04_triple_classification_n22_n23():
     start = time.perf_counter()
-    even = {canonical_form(t) for t in _classify(22, 3)}
+    even = _classify(22, 3)
     expected_even = _expected_set(
         ["Gamma1_22", "Gamma2_22", "Gamma3_22", "Gamma4_22",
          "Y1_22", "Y2_22", "Y3_22", "Y4_22", "Y5_22", "Y6_22", "Y7_22"])
     assert even == expected_even
-    odd = {canonical_form(t) for t in _classify(23, 3)}
+    odd = _classify(23, 3)
     expected_odd = _expected_set(
         ["X1_23", "X2_23", "OG_11", "Z1_23", "Z2_23", "Z3_23", "Z4_23"])
     assert odd == expected_odd
@@ -217,9 +216,9 @@ def test_criterion_04_triple_classification_n22_n23():
 
 
 def test_criterion_05a_quadruple_classification():
-    odd = {canonical_form(t) for t in _classify(11, 4)}
+    odd = _classify(11, 4)
     assert odd == _expected_set(["Pi_11", "Delta_11"])
-    small = {canonical_form(t) for t in _classify(6, 4)}
+    small = _classify(6, 4)
     assert _expected_set(["Psi6"]) <= small
     assert _expected_set(["Xi_6", "Theta_6"]) <= small
     report("05a", "quadruples exact at n=11; n=6 contains Psi6, Xi_6, Theta_6")
@@ -231,7 +230,7 @@ def _plain_defect(pmv) -> int:
 
 
 def test_criterion_05b_quadruple_classification_even_exact():
-    """Exact quadruple classification at n=12: Xi_12, Theta_12 and the family
+    """Exact quadruple classification at n=12: Xi_12, Theta_12 and Lambda_12 =
     ((n-1,1),(n-1,1),(2,...,2),(2,...,2,1,1)), which the classical table
     misses.
 
@@ -249,17 +248,16 @@ def test_criterion_05b_quadruple_classification_even_exact():
     unsolvable = ((3, 1), (3, 1), (3, 1), (1, 1, 1, 1))
     assert _plain_defect(unsolvable) == 2
     assert not reduces_to_simple_root(unsolvable)
-    even = {canonical_form(t) for t in _classify(n, 4)}
-    assert even == (_expected_set(["Xi_12", "Theta_12"])
-                    | {canonical_form(JnfTuple.from_pmv(extra))})
-    report("05b", "quadruples exact at n=12: Xi_12, Theta_12 and the "
-                  "uncatalogued ((11,1),(11,1),(2^6),(2^5,1,1))")
+    assert _expected_set(["Lambda_12"]) == {extra}
+    assert _classify(n, 4) == _expected_set(["Xi_12", "Theta_12"]) | {extra}
+    report("05b", "quadruples exact at n=12: Xi_12, Theta_12 and "
+                  "Lambda_12 = ((11,1),(11,1),(2^6),(2^5,1,1)), missing from the classical table")
 
 
 def test_criterion_06_no_rigid_beyond_quadruples():
     for entries in (5, 6):
         for n in range(2, 9):
-            assert _classify(n, entries) == []
+            assert _classify(n, entries) == set()
     n = 8
     h = n // 2
     first = JnfTuple.from_pmv([(2,) * h, (h + 1, h - 1), (h + 1, h - 1),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 
 from dspkit import (
     ChainMismatchError,
-    EnumConstraints,
     Jnf,
     JnfTuple,
     Partition,
@@ -15,7 +15,6 @@ from dspkit import (
     UndefinedMoveError,
     all_series_ids,
     antipassage_targets,
-    canonical_form,
     case_omega,
     catalog_lines,
     defect,
@@ -32,6 +31,7 @@ from dspkit import (
     series,
     verify_chain,
 )
+from dspkit.catalog import FAMILIES, SeriesId, series_mvs
 from helpers import reduces_to_simple_root, scan_rigid
 
 
@@ -196,7 +196,8 @@ def test_identify_multi_names():
     assert identify(ones) == ["D_0", "HG_1", "H_0", "W_0"]
     # genuine small-size coincidence of four families
     assert identify(series("X1_5")) == ["I_1", "OF_5", "X1_5", "Z2_5"]
-    assert identify(parse_pmv("(9,1);(9,1);(2,2,2,2,2);(2,2,2,2,1,1)")) == []
+    assert identify(parse_pmv("(9,1);(9,1);(2,2,2,2,2);(2,2,2,2,1,1)")) == ["Lambda_10"]
+    assert identify(parse_pmv("(3,2,1);(3,1,1,1);(2,2,2)")) == []
     # a Jordan tuple is never named, though its diagonal counterpart here is W_1
     jordan = JnfTuple((Jnf.from_blocks([[2, 1], [1]]), Jnf.diagonal((2, 1, 1)),
                        Jnf.diagonal((2, 1, 1))))
@@ -204,19 +205,18 @@ def test_identify_multi_names():
 
 
 def test_identify_matches_brute_force():
-    instances = [(sid, canonical_form(series(sid))) for sid in all_series_ids(40)]
+    instances = [(sid, tuple(mv.parts for mv in series_mvs(sid))) for sid in all_series_ids(40)]
     for sid, key in instances:
         t = series(sid)
         reversed_t = JnfTuple(tuple(reversed(t.entries)))
         want = sorted(str(other) for other, okey in instances if okey == key)
         assert identify(reversed_t) == want, sid
         # the vector path of enum-rigid output reads the same index
-        vectors = tuple(mv.parts for mv in key.pmv())
-        assert catalog_lines([vectors])[0]["series_names"] == want, sid
+        assert catalog_lines([key])[0]["series_names"] == want, sid
 
 
 def test_all_series_ids_counts():
-    assert [len(list(all_series_ids(m))) for m in (30, 40, 60)] == [540, 728, 1106]
+    assert [len(list(all_series_ids(m))) for m in (30, 40, 60)] == [553, 746, 1134]
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +235,27 @@ def test_verify_chain_examples():
     assert verify_chain("W_1") == expected_chain("W_1")
 
 
+def test_each_successor_is_a_smaller_instance_or_a_ones_count():
+    # one step per instance of size >= 2; verify_chain walks the chains themselves
+    for sid in all_series_ids(200):
+        fam = FAMILIES[sid.name]
+        n = fam.n_of(sid.param)
+        if n < 2:
+            continue
+        nxt = fam.succ(sid.param)
+        if isinstance(nxt, int):
+            assert nxt >= 2, sid
+        else:
+            assert isinstance(nxt, SeriesId), sid
+            assert FAMILIES[nxt.name].ok(nxt.param), sid
+            assert FAMILIES[nxt.name].n_of(nxt.param) < n, sid
+
+
 def test_chain_mismatch_is_detected(monkeypatch):
     import dspkit.catalog as cat
 
-    monkeypatch.setitem(cat._SUCCESSORS, "W", lambda k: cat.SeriesId("S", k))
+    monkeypatch.setitem(cat.FAMILIES, "W", dataclasses.replace(
+        cat.FAMILIES["W"], succ=lambda k: cat.SeriesId("S", k)))
     with pytest.raises(ChainMismatchError, match=r"^W_1: step 1 is .*, expected S_1 = "):
         verify_chain("W_1")
 
@@ -247,8 +264,8 @@ def test_verify_chain_rejects_a_non_rigid_instance(monkeypatch):
     import dspkit.catalog as cat
 
     # W_1 becomes (2,1,1);(2,1,1);(1,1,1,1), of defect 0; its trace is never compared
-    monkeypatch.setitem(cat.FAMILIES, "W", cat._Family(
-        lambda k: 3 * k + 1, lambda k: k >= 0, lambda k: [[k, k, k + 1]] * 2 + [[1] * (3 * k + 1)]))
+    monkeypatch.setitem(cat.FAMILIES, "W", dataclasses.replace(
+        cat.FAMILIES["W"], build=lambda k: [[k, k, k + 1]] * 2 + [[1] * (3 * k + 1)]))
     with pytest.raises(ChainMismatchError, match=r"^W_1: defect is 0, not 2$"):
         verify_chain("W_1")
 
@@ -257,24 +274,23 @@ def test_verify_chain_rejects_a_non_rigid_instance(monkeypatch):
 # enumeration
 
 
-def _constraints(n, entries):
-    return EnumConstraints(n=n, num_entries=entries, max_first_part=2,
-                           forbid_all_ones=True, forbid_scalar=True)
+#: The classification filters: an entry with parts <= 2, no all-ones or scalar entry.
+_U2 = {"u": 2, "no_all_ones": True, "no_scalar": True}
 
 
 def test_enumerate_quadruples_n11():
-    res = enumerate_rigid(_constraints(11, 4))
+    res = enumerate_rigid(11, 4, **_U2)
     assert [identify(JnfTuple.from_pmv(v)) for v in res] == [["Pi_11"], ["Delta_11"]]
 
 
 def test_enumerate_quadruples_n6_contains_psi6():
-    res = enumerate_rigid(_constraints(6, 4))
+    res = enumerate_rigid(6, 4, **_U2)
     names = {name for v in res for name in identify(JnfTuple.from_pmv(v))}
     assert "Psi6" in names and "Xi_6" in names and "Theta_6" in names
 
 
 def test_enumerate_quintuples_n8_empty():
-    assert enumerate_rigid(_constraints(8, 5)) == []
+    assert enumerate_rigid(8, 5, **_U2) == []
 
 
 @pytest.mark.parametrize("entries, max_n", [(2, 8), (3, 12), (4, 10), (5, 8), (6, 8)])
@@ -283,36 +299,40 @@ def test_enumerate_matches_scan(entries, max_n):
     for n in range(1, max_n + 1):
         for u in (None, 0, 1, 2, 3):
             for no_all_ones, no_scalar in itertools.product((False, True), repeat=2):
-                got = enumerate_rigid(EnumConstraints(n, entries, u, no_all_ones, no_scalar))
+                got = enumerate_rigid(n, entries, u=u, no_all_ones=no_all_ones,
+                                      no_scalar=no_scalar)
                 want = scan_rigid(n, entries, u, no_all_ones, no_scalar)
                 assert got == want, (n, u, no_all_ones, no_scalar)
 
 
 def test_enumerate_resource_guard():
     with pytest.raises(ResourceLimitError):
-        enumerate_rigid(_constraints(41, 3))
+        enumerate_rigid(41, 3, **_U2)
     with pytest.raises(ResourceLimitError):
-        enumerate_rigid(EnumConstraints(n=5, num_entries=7))
-    assert enumerate_rigid(_constraints(41, 3), max_n=41) is not None
+        enumerate_rigid(5, 7)
+    assert enumerate_rigid(41, 3, **_U2, max_n=41) is not None
+    # malformed sizes are refused before any guard
+    for n, entries in [(0, 3), (50, 1), (0, 7)]:
+        with pytest.raises(ValueError, match=r"^need n >= 1 and at least two entries$"):
+            enumerate_rigid(n, entries)
 
 
 def test_enumerate_node_budget(monkeypatch):
     import dspkit.catalog as cat
 
     # triples at n=8, scalars included, expand 44 nodes
-    c = EnumConstraints(n=8, num_entries=3)
-    want = enumerate_rigid(c)
+    want = enumerate_rigid(8, 3)
     monkeypatch.setattr(cat, "DEFAULT_MAX_ENUM_NODES", 44)
-    assert enumerate_rigid(c) == want
+    assert enumerate_rigid(8, 3) == want
     monkeypatch.setattr(cat, "DEFAULT_MAX_ENUM_NODES", 43)
     with pytest.raises(ResourceLimitError, match=r"^the walk to n=8 expands more than 43 nodes$"):
-        enumerate_rigid(c)
+        enumerate_rigid(8, 3)
 
 
 def test_rank_sum_over_u2_outputs():
     # with a parts<=2 entry present, the remaining rank sum is n or n+1
     for n, entries in [(10, 3), (11, 4), (12, 4)]:
-        for v in enumerate_rigid(_constraints(n, entries)):
+        for v in enumerate_rigid(n, entries, **_U2):
             rs = sorted(e.r for e in JnfTuple.from_pmv(v).entries)
             total = sum(rs)
             assert total - (n - 2) in (n, n + 1)
@@ -402,7 +422,7 @@ SPORADIC_U2_TRIPLES = {
 
 
 def _u2(n, entries):
-    return enumerate_rigid(_constraints(n, entries), max_n=60)
+    return enumerate_rigid(n, entries, **_U2, max_n=60)
 
 
 def test_u2_triples_named_except_sporadic_table():
@@ -416,23 +436,17 @@ def test_u2_triples_named_except_sporadic_table():
     assert [len(v) for v in SPORADIC_U2_TRIPLES.values()] == [1, 3, 7, 8, 9, 5, 9, 5, 4, 3, 1]
 
 
-def test_u2_quadruples_named_except_05b_family():
+def test_u2_quadruples_all_named():
     for n in range(1, 41):
         res = [JnfTuple.from_pmv(v) for v in _u2(n, 4)]
         assert all(reduces_to_simple_root([mv.parts for mv in t.pmv()]) for t in res), n
-        unnamed = [t for t in res if not identify(t)]
-        if n % 2 == 0 and n >= 6:
-            h = n // 2
-            extra = ((n - 1, 1), (n - 1, 1), (2,) * h, (2,) * (h - 1) + (1, 1))
-            assert unnamed == [JnfTuple.from_pmv(extra)], n
-        else:
-            assert unnamed == [], n
+        assert all(identify(t) for t in res), n
         want = {1: 0, 2: 0, 3: 1, 4: 2, 6: 4}.get(n, 3 if n % 2 == 0 else 2)
         assert len(res) == want, n
 
 
 def test_catalog_lines_shape():
-    res = enumerate_rigid(_constraints(11, 4))
+    res = enumerate_rigid(11, 4, **_U2)
     assert res[0] == ((10, 1), (6, 5), (6, 5), (2, 2, 2, 2, 2, 1))
     lines = catalog_lines(res)
     assert lines[0]["n"] == 11 and lines[0]["defect"] == 2
@@ -450,8 +464,3 @@ def test_catalog_lines_rejects_non_rigid_vectors():
         catalog_lines([omega])
     with pytest.raises(RuntimeError, match=r"entries are not all of size 3$"):
         catalog_lines([((2, 1), (2, 1), (1, 1, 1, 1))])
-
-
-def test_canonical_form_sorts_entries():
-    t = parse_pmv("(2,1,1);(3,1);(2,2)")
-    assert str(canonical_form(t)) == "(3,1);(2,2);(2,1,1)"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -259,8 +260,8 @@ _CLASSIFY = ["--u", "2", "--no-all-ones", "--no-scalar"]
      "476a2b9da7e12982e97fd72ab7b3dc4ebf3f3aa6f54fa5f9548e0431bd449149",
      "291f7bb9a0cc9551ec3763cbe8c04b0faa3f44ab8bea21653b26bd6f564ac76b"),
     (["--n", "12", "--entries", "4", "--no-scalar"],
-     "e92d0da1de473a72d315122ee057afca0fa4180b48c46666d14081249803d791",
-     "6910357c0d00aecb4b58fbc9400b239aff8a8fcdbb3fe1b4dc57bbcb377d7064"),
+     "dfe7f6a2e9dfbfd4db22f408284e4c102b3f511e387c043d418f88745a4faa1b",
+     "d3ea53024bc02f2a4afd0393660676b204da18979afda8aa818e71b8ef7b628f"),
 ])
 def test_enum_rigid_output_is_byte_stable(capsys, args, json_digest, text_digest):
     for extra, digest in (["--json"], json_digest), ([], text_digest):
@@ -280,6 +281,9 @@ def test_series_and_chain(capsys):
     assert code == 0 and out.strip() == "(3,2,2);(3,2,2);(3,2,2)"
     code, out, _ = run(capsys, "chain", "W_2")
     assert code == 0 and out.strip() == "W_2 -> B_2 -> W_1 -> B_1 -> W_0"
+    code, out, _ = run(capsys, "chain", "Lambda_12")
+    assert code == 0 and out == ("Lambda_12 -> Lambda_10 -> Lambda_8 -> Lambda_6 -> Theta_4"
+                                 " -> HG_2 -> HG_1\n")
     code, _, err = run(capsys, "series", "R_1")
     assert code == 2 and err
 
@@ -300,14 +304,14 @@ def test_catalog_verify_chains_json_is_byte_stable(capsys):
     code, out, _ = run(capsys, "catalog-verify", "--max-n", "30", "--chains", "--json")
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "97b1ed486ccb36c40ce4880c9f795a37222ad04be5b3664551c215d9eb976d8d")
+            == "2b0b21c4f2f2b5553988bb46f105e0027239cf5f98e70a1853dee0d15a0663da")
 
 
 def test_catalog_verify_json_is_byte_stable(capsys):
     code, out, _ = run(capsys, "catalog-verify", "--max-n", "30", "--json")
     assert code == 0
     assert (hashlib.sha256(out.encode()).hexdigest()
-            == "97b1ed486ccb36c40ce4880c9f795a37222ad04be5b3664551c215d9eb976d8d")
+            == "2b0b21c4f2f2b5553988bb46f105e0027239cf5f98e70a1853dee0d15a0663da")
 
 
 def test_dual_commands(capsys):
@@ -424,7 +428,8 @@ def test_catalog_verify(capsys, monkeypatch):
     assert payload["all_ok"] is True
     assert payload["families"]["W"]["ok"] == payload["families"]["W"]["instances"]
     # a broken chain is reported and exits 1
-    monkeypatch.setitem(cat._SUCCESSORS, "W", lambda k: cat.SeriesId("S", k))
+    monkeypatch.setitem(cat.FAMILIES, "W", dataclasses.replace(
+        cat.FAMILIES["W"], succ=lambda k: cat.SeriesId("S", k)))
     code, out, _ = run(capsys, *args)
     assert code == 1
     payload = json.loads(out)

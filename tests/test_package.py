@@ -10,11 +10,11 @@ from helpers import fresh_python
 
 EXPORTS = sorted([
     "ChainMismatchError", "ChainStep", "ConditionReport", "DspkitError", "EigenvalueAssignment",
-    "EnumConstraints", "ExactValue", "Jnf", "JnfTuple", "NongenericityWitness",
+    "ExactValue", "Jnf", "JnfTuple", "NongenericityWitness",
     "ObstructionError", "Partition", "PreconditionError", "Reason", "ReductionTrace",
     "ResourceLimitError", "SeriesId", "SeriesParameterError", "TraceStep",
     "UndefinedMoveError", "Verdict", "all_series_ids", "antipassage_targets",
-    "assignment_from_dict", "assignment_to_dict", "candidate_assignment", "canonical_form",
+    "assignment_from_dict", "assignment_to_dict", "candidate_assignment",
     "case_omega", "catalog_lines", "check_conditions", "corresponding_diagonal", "decide",
     "defect", "diagonalized", "disjoint_sum", "dual", "enumerate_rigid", "expected_chain",
     "gcd_obstruction", "generate_generic", "identify", "is_generic", "is_rigid", "jnf_from_dict",
