@@ -4,8 +4,10 @@ and genericity checks, with stable text and JSON output.
 Verdicts are data, not exit codes: a NotSolvable decision still exits 0.  A
 failed check or construction exits 1 (a catalog-verify failure, a chain
 mismatch, an obstructed generic-gen), malformed input exits 2, and an exceeded
-resource guard exits 3.  generic-gen certifies its assignment in closed form,
-so unlike generic-check it has no size guard; its --seed, like enum-rigid's
+resource guard exits 3.  generic-gen certifies its assignment in closed form
+and has no size guard; generic-check decides by elimination and exits 3 only
+when an input with n > 14 needs the relation search or its relation system is
+too large (past about HG_350).  generic-gen's --seed, like enum-rigid's
 --jobs, is accepted and has no effect (perfbench's workloads pass both).
 
 Start-up loads only what the command runs: at module level this file imports

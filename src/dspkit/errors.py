@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and the JSON key lookup that raises them."""
 
 
 class DspkitError(Exception):
@@ -32,3 +32,10 @@ class ObstructionError(DspkitError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+def require_key(data: dict, key: str):
+    """``data[key]`` of a parsed JSON object; a missing key is a ValueError naming it."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"missing key {key!r}")
+    return data[key]

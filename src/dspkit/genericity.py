@@ -9,42 +9,81 @@ An assignment is generic when no proper sub-selection relation holds: for
 every kappa with 1 <= kappa <= n - 1 and every per-entry choice of
 sub-multiplicities summing to kappa, the weighted sum is nonzero (additive)
 or non-integral (multiplicative).
+
+Relations are decided by exact integer elimination first (see
+``nongenericity_witness``): the formal coordinates of a generated assignment
+leave a free box of a few points to enumerate, at any n.  Only an input whose
+free box is too large, such as a purely rational one, goes to the
+meet-in-the-middle search, and only that search is limited to
+n <= GENERIC_CHECK_MAX_N; the elimination is limited by the size of its
+system (about HG_350).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
-from typing import Sequence
+from operator import add, mul
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import ObstructionError, ResourceLimitError
-from .jnf import JnfTuple, require_key
+from .errors import ObstructionError, ResourceLimitError, require_key
 
-#: Relation search is a product over per-entry sub-multiplicity vectors; keep
-#: the input size small enough that this stays instant.
+if TYPE_CHECKING:
+    from .jnf import JnfTuple
+
+#: The fallback relation search is a product over per-entry sub-multiplicity
+#: vectors; keep its input size small enough that it stays instant.
 GENERIC_CHECK_MAX_N = 14
 
 
-@dataclass(frozen=True)
-class ExactValue:
+class _Record:
+    """An immutable value record: equality, hash and repr over the fields
+    annotated in the subclass, which ``__init__`` sets through ``_set``.  It
+    stands in for a frozen dataclass, whose import (with ``inspect``) would
+    cost every ``generic-check`` process about 10 ms."""
+
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__annotations__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__annotations__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ExactValue(_Record):
     """q_0 + sum q_b * t_b with rational coefficients and formal basis t_b.
 
     A value record with no arithmetic: sums of values are taken on the integer
     coordinates of ``_integer_entries``.  Each basis index appears once.
     """
 
-    const: Fraction = Fraction(0)
-    formal: tuple[tuple[int, Fraction], ...] = ()
+    const: Fraction
+    formal: tuple[tuple[int, Fraction], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "const", Fraction(self.const))
-        terms = sorted((int(i), Fraction(cf)) for i, cf in self.formal)
+    def __init__(self, const=Fraction(0), formal=()) -> None:
+        terms = sorted((int(i), Fraction(cf)) for i, cf in formal)
         for (i, _), (j, _) in zip(terms, terms[1:]):
             if i == j:
                 raise ValueError(f"basis index t{i} is given twice")
-        object.__setattr__(self, "formal", tuple((i, cf) for i, cf in terms if cf))
+        self._set(const=Fraction(const), formal=tuple((i, cf) for i, cf in terms if cf))
 
     @classmethod
     def rational(cls, q) -> "ExactValue":
@@ -81,18 +120,17 @@ class ExactValue:
         return cls(const, tuple(formal))
 
 
-@dataclass(frozen=True)
-class EigenvalueAssignment:
+class EigenvalueAssignment(_Record):
     """Per entry: (value, multiplicity) pairs matching the tuple's eigenvalue slots."""
 
     mode: str  # "additive" | "multiplicative"
     entries: tuple[tuple[tuple[ExactValue, int], ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("additive", "multiplicative"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        entries = tuple(tuple(entry) for entry in self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, mode: str, entries) -> None:
+        if mode not in ("additive", "multiplicative"):
+            raise ValueError(f"unknown mode {mode!r}")
+        entries = tuple(tuple(entry) for entry in entries)
+        self._set(mode=mode, entries=entries)
         if len(entries) < 2:
             raise ValueError("need at least two entries")
         sizes = set()
@@ -114,11 +152,13 @@ class EigenvalueAssignment:
         return tuple(tuple(m for _, m in entry) for entry in self.entries)
 
 
-@dataclass(frozen=True)
-class NongenericityWitness:
+class NongenericityWitness(_Record):
     kappa: int
     sub_multiplicities: tuple[tuple[int, ...], ...]
     total: ExactValue
+
+    def __init__(self, kappa: int, sub_multiplicities, total: ExactValue) -> None:
+        self._set(kappa=kappa, sub_multiplicities=sub_multiplicities, total=total)
 
 
 def _integer_entries(a: EigenvalueAssignment):
@@ -134,9 +174,9 @@ def _integer_entries(a: EigenvalueAssignment):
 
     def coords(v: ExactValue) -> tuple[int, ...]:
         row = [0] * (len(basis) + 1)
-        row[0] = int(v.const * denom)
+        row[0] = v.const.numerator * (denom // v.const.denominator)
         for b, cf in v.formal:
-            row[position[b]] = int(cf * denom)
+            row[position[b]] = cf.numerator * (denom // cf.denominator)
         return tuple(row)
 
     return denom, basis, [[(coords(v), m) for v, m in entry] for entry in a.entries]
@@ -208,10 +248,123 @@ def _prefix_sums(factors, dim: int) -> list[tuple[tuple, tuple[int, ...]]]:
     return out
 
 
+def _relation_rows(mode: str, entries) -> list[list[int]]:
+    """The homogeneous integer system of a relation: one unknown c per slot
+    (entries in order, see ``_integer_entries``), one row per formal
+    coordinate, one for the constant coordinate in additive mode, and E - 1
+    rows that give every entry the sum of the first."""
+    slots = [coords for entry in entries for coords, _ in entry]
+    rows = [[coords[k] for coords in slots]
+            for k in range(0 if mode == "additive" else 1, len(slots[0]))]
+    return rows + [[(i == 0) - (i == j) for i, entry in enumerate(entries) for _ in entry]
+                   for j in range(1, len(entries))]
+
+
+def _reduce(rows: list[list[int]], order: Sequence[int]) -> list[tuple[int, list[int]]]:
+    """Reduced echelon form of ``rows`` by integer-only steps, with pivots
+    taken in column ``order``: (column, row) pairs in which each row is
+    divided by its gcd and is zero in every other pivot column.  Row
+    operations p * r - a * s with p != 0 keep the solution set over Q."""
+    pending = [row for row in rows if any(row)]
+    pivots: list[tuple[int, list[int]]] = []
+    for col in order:
+        row = min((r for r in pending if r[col]), key=lambda r: len(r) - r.count(0),
+                  default=None)
+        if row is None:
+            continue
+        pending.remove(row)
+        g = math.gcd(*row)
+        row = [x // g for x in row]
+        p = row[col]
+
+        def eliminate(other: list[int]) -> list[int]:
+            a = other[col]
+            if not a:
+                return other
+            out = [p * x - a * y for x, y in zip(other, row)]
+            h = math.gcd(*out)
+            return [x // h for x in out] if h > 1 else out
+
+        pending = [r for r in map(eliminate, pending) if any(r)]
+        pivots = [(c, eliminate(r)) for c, r in pivots]
+        pivots.append((col, row))
+    return pivots
+
+
+#: Largest free box (the product of m + 1 over the free slots of the reduced
+#: system) that ``nongenericity_witness`` enumerates; a larger one goes to the
+#: relation search.  Enumeration costs 2-4 us per point, about 4 ms here; on
+#: random rational assignments with n <= 14 and larger boxes the search is
+#: faster (median 1.3 ms against 6 ms at 1024-4096 points).
+_MAX_FREE_BOX = 1024
+
+#: Largest relation system (rows times eigenvalue slots) that
+#: ``nongenericity_witness`` builds.  It is held dense, and reducing it takes
+#: about 1.5 s near this size (the candidate of HG_350: 704 x 702 entries).
+_MAX_SYSTEM_ENTRIES = 500_000
+
+
 def nongenericity_witness(a: EigenvalueAssignment) -> NongenericityWitness | None:
     """Smallest (kappa, lexicographic sub-multiplicity choice) violating relation,
     or None when no sub-selection relation holds.  The trace condition is not
     checked here; ``is_generic`` requires both.
+
+    A relation is an integer vector c with 0 <= c <= m slot by slot that
+    solves the homogeneous system of ``_relation_rows`` and has kappa, the sum
+    of each entry, in 1..n-1; in the multiplicative setting its constant
+    coordinate must also vanish modulo D.  The system is reduced by exact
+    integer elimination with pivots on the widest slots, so the free slots
+    have the smallest boxes.  Every point of the free box then fixes each
+    pivot slot, which must be integral and inside its box, and the smallest
+    (kappa, choice) of those points is the answer.  When the free box holds
+    more than ``_MAX_FREE_BOX`` points, ``_search_witness`` finds the same
+    relation instead; only that search is limited to n <= GENERIC_CHECK_MAX_N.
+    A system of more than ``_MAX_SYSTEM_ENTRIES`` entries raises
+    ``ResourceLimitError`` before it is built.
+    """
+    n = a.n
+    denom, basis, entries = _integer_entries(a)
+    bounds = [m for entry in entries for _, m in entry]
+    height = len(basis) + (a.mode == "additive") + len(entries) - 1
+    if height * len(bounds) > _MAX_SYSTEM_ENTRIES:
+        raise ResourceLimitError(f"genericity check limited to relation systems of "
+                                 f"{_MAX_SYSTEM_ENTRIES} entries, not {height} x {len(bounds)}")
+    rows = _relation_rows(a.mode, entries)
+    # widest slots first; among equal widths the sparsest column, for less fill-in
+    pivots = _reduce(rows, sorted(range(len(bounds)),
+                                  key=lambda k: (-bounds[k], sum(1 for r in rows if r[k]))))
+    free = sorted(set(range(len(bounds))).difference(c for c, _ in pivots))
+    if math.prod(bounds[f] + 1 for f in free) > _MAX_FREE_BOX:
+        return _search_witness(a)
+    solved = [(c, row[c], bounds[c], [row[f] for f in free]) for c, row in pivots]
+    consts = [coords[0] for entry in entries for coords, _ in entry]
+    mult_mode = a.mode == "multiplicative"
+    first = len(entries[0])
+    best = None
+    x = [0] * len(bounds)
+    for point in itertools.product(*(range(bounds[f] + 1) for f in free)):
+        for col, p, bound, coefs in solved:
+            q, r = divmod(-sum(map(mul, coefs, point)), p)
+            if r or q < 0 or q > bound:
+                break
+            x[col] = q
+        else:
+            for f, v in zip(free, point):
+                x[f] = v
+            kappa = sum(x[:first])
+            if not 0 < kappa < n or mult_mode and sum(map(mul, consts, x)) % denom:
+                continue
+            cut = iter(x)
+            found = (kappa, tuple(tuple(next(cut) for _ in entry) for entry in entries))
+            if best is None or found < best:
+                best = found
+    if best is None:
+        return None
+    return NongenericityWitness(*best, _selection_total(a, best[1]))
+
+
+def _search_witness(a: EigenvalueAssignment) -> NongenericityWitness | None:
+    """``nongenericity_witness`` by search, for free boxes too large to enumerate.
 
     The search space per kappa is the product over entries of that entry's
     sub-multiplicity vectors with sum kappa; it is scanned meet-in-the-middle
@@ -219,6 +372,8 @@ def nongenericity_witness(a: EigenvalueAssignment) -> NongenericityWitness | Non
     each sum to its first combination; the left-hand entries enter negated, so
     a relation is a left-hand sum that equals a right-hand key.  In the
     multiplicative setting only the constant coordinate modulo D matters.
+    Under the trace condition the complement of a relation is one too, so
+    kappa <= n/2 is enough; otherwise the scan runs to n - 1.
     """
     n = a.n
     if n > GENERIC_CHECK_MAX_N:
@@ -229,7 +384,7 @@ def nongenericity_witness(a: EigenvalueAssignment) -> NongenericityWitness | Non
     left_entries = [[(tuple(-x for x in v), m) for v, m in entry] for entry in entries[:half]]
     right_entries = entries[half:]
     mult_mode = a.mode == "multiplicative"
-    for kappa in range(1, n):
+    for kappa in range(1, n // 2 + 1 if trace_condition(a) else n):
         right = [_weighted_subvectors(entry, kappa) for entry in right_entries]
         table: dict = {}
         for vecs, s in _prefix_sums(right[:-1], dim):

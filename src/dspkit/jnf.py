@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
+from .errors import require_key
 from .partitions import Partition, disjoint_sum, dual, normalize, parse_parts
 
 #: Bound on the interned all-ones slots of ``Jnf.diagonal``, one per multiplicity.
@@ -146,13 +147,6 @@ def parse_pmv(text: str) -> JnfTuple:
 
 def jnf_to_dict(j: Jnf) -> dict:
     return {"eigenvalues": [list(s.parts) for s in j.slots]}
-
-
-def require_key(data: dict, key: str):
-    """``data[key]`` of a parsed JSON object; a missing key is a ValueError naming it."""
-    if not isinstance(data, dict) or key not in data:
-        raise ValueError(f"missing key {key!r}")
-    return data[key]
 
 
 def jnf_from_dict(data: dict) -> Jnf:

@@ -82,6 +82,59 @@ def rational_assignment(rng: random.Random, mults, mode="additive", target=Fract
             return EigenvalueAssignment(mode, tuple(entries))
 
 
+def planted_assignment(rng: random.Random, mults, kappa: int, mode="additive"):
+    """A trace-balanced assignment with a relation at ``kappa``: every slot
+    holds a random constant plus its own basis element t_i, then two slots are
+    solved so that the full weighted sum and one random sub-selection of size
+    ``kappa`` per entry both vanish.  When no two slots can be solved for (the
+    selection is proportional to the multiplicities), the last slot balances
+    the full sum, which then implies the relation.  Returns None when 20
+    draws all repeat a value within an entry (some shapes force that)."""
+    slots = [m for entry in mults for m in entry]
+    for _ in range(20):
+        choice = []
+        for entry in mults:
+            rest = kappa
+            for i, m in enumerate(entry):
+                low = max(0, rest - sum(entry[i + 1:]))
+                choice.append(rng.randint(low, min(m, rest)))
+                rest -= choice[-1]
+        # one dict per slot: basis index -> coefficient, with index 0 the constant
+        values = [{0: Fraction(rng.randint(-3, 3)), i + 1: Fraction(1)} for i in range(len(slots))]
+        pairs = [(a, b) for a in range(len(slots)) for b in range(a + 1, len(slots))
+                 if choice[a] * slots[b] != choice[b] * slots[a]]
+        if pairs:
+            a, b = rng.choice(pairs)
+            det = choice[a] * slots[b] - choice[b] * slots[a]
+            rel, tr = _weighted(values, choice, (a, b)), _weighted(values, slots, (a, b))
+            keys = set(rel) | set(tr)
+            values[a] = {k: (tr.get(k, 0) * choice[b] - rel.get(k, 0) * slots[b]) / det
+                         for k in keys}
+            values[b] = {k: (rel.get(k, 0) * slots[a] - tr.get(k, 0) * choice[a]) / det
+                         for k in keys}
+        else:
+            total = _weighted(values, slots, (len(slots) - 1,))
+            values[-1] = {k: -cf / slots[-1] for k, cf in total.items()}
+        flat = [ExactValue(v.get(0, 0), tuple((k, cf) for k, cf in v.items() if k))
+                for v in values]
+        entries, pos = [], 0
+        for entry in mults:
+            entries.append(tuple(zip(flat[pos:pos + len(entry)], entry)))
+            pos += len(entry)
+        if all(len({v for v, _ in entry}) == len(entry) for entry in entries):
+            return EigenvalueAssignment(mode, tuple(entries))
+    return None
+
+
+def _weighted(values, weights, skip) -> dict:
+    out: dict = {}
+    for i, (value, w) in enumerate(zip(values, weights)):
+        if i not in skip:
+            for k, cf in value.items():
+                out[k] = out.get(k, 0) + w * cf
+    return out
+
+
 def all_jnfs(n: int) -> list[Jnf]:
     """Every shape of size n: a multiset of nonempty slot partitions."""
     out = []

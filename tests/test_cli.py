@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -14,7 +15,7 @@ from dspkit.genericity import (
     trace_condition,
 )
 from dspkit.jnf import Jnf, JnfTuple
-from helpers import fresh_python
+from helpers import fresh_python, rational_assignment
 
 
 def run(capsys, *argv):
@@ -368,13 +369,20 @@ def test_generic_gen_is_byte_stable_and_ignores_seed(capsys):
 
 
 def test_generic_gen_beyond_search_cap(tmp_path, capsys):
-    # generation needs no search, so it works past the n <= 14 check guard
-    code, out, _ = run(capsys, "generic-gen", str(series("HG_15")))
-    assert code == 0
-    assert trace_condition(assignment_from_dict(json.loads(out)))
-    path = tmp_path / "assignment.json"
-    path.write_text(out, encoding="utf-8")
-    code, _, err = run(capsys, "generic-check", "--file", str(path))
+    # generation needs no search, and checking a generated (formal) assignment
+    # needs none either, so both work past the search's n <= 14 guard
+    for sid in ("HG_15", "Delta_41"):
+        code, out, _ = run(capsys, "generic-gen", str(series(sid)))
+        assert code == 0
+        assert trace_condition(assignment_from_dict(json.loads(out)))
+        path = tmp_path / f"{sid}.json"
+        path.write_text(out, encoding="utf-8")
+        code, out, err = run(capsys, "generic-check", "--file", str(path))
+        assert (code, out, err) == (0, "trace condition: True\ngeneric: true\n", ""), sid
+    # a random rational assignment still needs the search, which refuses n = 15
+    t = series("HG_15")
+    a = rational_assignment(random.Random(15), [e.eigenvalue_multiplicities() for e in t.entries])
+    code, _, err = run(capsys, "generic-check", json.dumps(assignment_to_dict(a)))
     assert code == 3 and "n <= 14" in err
 
 

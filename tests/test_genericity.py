@@ -9,8 +9,10 @@ from dspkit import (
     ExactValue,
     Jnf,
     JnfTuple,
+    NongenericityWitness,
     ObstructionError,
     ResourceLimitError,
+    all_series_ids,
     assignment_from_dict,
     assignment_to_dict,
     candidate_assignment,
@@ -22,14 +24,39 @@ from dspkit import (
     series,
     trace_condition,
 )
-from dspkit.genericity import _weighted_subvectors
-from helpers import naive_witness, random_partition, rational_assignment
+import dspkit.genericity as genericity
+from dspkit.genericity import _search_witness, _weighted_subvectors
+from helpers import (
+    naive_witness,
+    planted_assignment,
+    random_jnf_tuple,
+    random_partition,
+    rational_assignment,
+)
 
 
 def test_exact_value_dict_round_trip():
     v = ExactValue(Fraction(-1, 2), ((1, Fraction(1)), (3, Fraction(2, 7))))
     assert ExactValue.from_coeff_dict(v.to_coeff_dict()) == v
     assert ExactValue.from_coeff_dict({}) == ExactValue()
+
+
+def test_value_records_compare_by_fields_and_are_immutable():
+    a = EigenvalueAssignment("additive", [[(ExactValue.basis(1), 1), (ExactValue(), 1)]] * 2)
+    same = EigenvalueAssignment("additive", (((ExactValue(0, ((1, 1),)), 1),
+                                              (ExactValue.rational(0), 1)),) * 2)
+    w = NongenericityWitness(1, ((1, 0), (0, 1)), ExactValue.basis(1))
+    assert a == same and hash(a) == hash(same)
+    assert a != EigenvalueAssignment("multiplicative", a.entries)
+    assert w == NongenericityWitness(1, ((1, 0), (0, 1)), ExactValue.basis(1)) != (1, w.total)
+    assert len({ExactValue.basis(1), ExactValue(0, ((1, Fraction(2, 2)),))}) == 1
+    assert repr(ExactValue.rational(Fraction(1, 2))) == (
+        "ExactValue(const=Fraction(1, 2), formal=())")
+    for record, field in ((a, "mode"), (w, "kappa"), (w.total, "const")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
 
 
 def test_exact_value_rejects_repeated_index():
@@ -147,7 +174,7 @@ def test_closed_form_certificate_matches_search():
                 t = JnfTuple.from_pmv(mvs)
                 for mode, exponent in modes:
                     a = candidate_assignment(t, mode, product_exponent=exponent)
-                    want = nongenericity_witness(a)
+                    want = _search_witness(a)
                     try:
                         got = generate_generic(t, mode, product_exponent=exponent)
                     except ObstructionError as err:
@@ -270,10 +297,136 @@ def test_kappa_one_relation_is_found():
 
 
 def test_check_guard():
+    # a formal candidate is decided by elimination at any n; only the search is capped
     big = series("HG_15")
     a = candidate_assignment(big, "additive")
-    with pytest.raises(ResourceLimitError):
+    assert nongenericity_witness(a) is None and is_generic(a)
+    rational = rational_assignment(random.Random(15),
+                                   [e.eigenvalue_multiplicities() for e in big.entries])
+    with pytest.raises(ResourceLimitError, match="n <= 14"):
+        nongenericity_witness(rational)
+
+
+def test_elimination_guard(monkeypatch):
+    # the dense relation system of the HG_15 candidate has 34 rows and 32 slots
+    a = candidate_assignment(series("HG_15"), "additive")
+    monkeypatch.setattr(genericity, "_MAX_SYSTEM_ENTRIES", 34 * 32)
+    assert nongenericity_witness(a) is None
+    monkeypatch.setattr(genericity, "_MAX_SYSTEM_ENTRIES", 34 * 32 - 1)
+    with pytest.raises(ResourceLimitError, match="34 x 32"):
         nongenericity_witness(a)
+
+
+def _key(w):
+    return None if w is None else (w.kappa, w.sub_multiplicities, (w.total.const, w.total.formal))
+
+
+def _assignment_pool(rng, tuples):
+    """Per random Jordan tuple (n <= 8, 2-4 entries): the candidate in both
+    modes with product exponents 0-3, planted kappa = 1 and 2 relations in
+    both modes, and a random rational assignment in each mode."""
+    for _ in range(tuples):
+        t = random_jnf_tuple(rng, rng.randint(2, 8), rng.randint(2, 4))
+        mults = [e.eigenvalue_multiplicities() for e in t.entries]
+        yield candidate_assignment(t, "additive")
+        for exponent in range(4):
+            yield candidate_assignment(t, "multiplicative", product_exponent=exponent)
+        for kappa in (1, 2):
+            for mode in ("additive", "multiplicative"):
+                planted = planted_assignment(rng, mults, kappa, mode) if kappa < t.n else None
+                if planted is not None:
+                    yield planted
+        yield rational_assignment(rng, mults)
+        yield rational_assignment(rng, mults, "multiplicative", Fraction(rng.randint(0, 3)))
+
+
+def test_elimination_matches_search_and_naive_oracle(monkeypatch):
+    searched = []
+
+    def search(a):
+        searched.append(a)
+        return _search_witness(a)
+
+    monkeypatch.setattr(genericity, "_search_witness", search)
+    rng = random.Random(57)
+    outcomes = {True: 0, False: 0}
+    compared_naive = 0
+    for a in _assignment_pool(rng, 100):
+        fell_back = len(searched)
+        got = _key(nongenericity_witness(a))
+        assert got == _key(_search_witness(a)), a
+        if a.n <= 5 and (len(a.entries) < 4 or a.n <= 4):
+            assert got == naive_witness(a), a
+            compared_naive += 1
+        outcomes[len(searched) > fell_back] += 1
+    # most inputs are decided by elimination, and the fallback is exercised too
+    assert outcomes[False] > 900 and outcomes[True] >= 10 and compared_naive > 400
+
+
+def test_large_free_boxes_are_enumerated_exactly(monkeypatch):
+    # with the fallback forbidden, rational assignments enumerate their whole free box
+    def search(a):
+        raise AssertionError("fell back to the search")
+
+    monkeypatch.setattr(genericity, "_MAX_FREE_BOX", 10**9)
+    monkeypatch.setattr(genericity, "_search_witness", search)
+    rng = random.Random(58)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        mults = [random_partition(rng, n) for _ in range(rng.randint(2, 3))]
+        for a in (rational_assignment(rng, mults),
+                  rational_assignment(rng, mults, "multiplicative", Fraction(rng.randint(0, 3)))):
+            assert _key(nongenericity_witness(a)) == naive_witness(a), a
+
+
+def test_elimination_matches_closed_form_beyond_search_cap(monkeypatch):
+    # candidates past the search's n <= 14 cap, against the closed-form certificate:
+    # catalog instances (multiplicity gcd 1) and doubled ones (gcd 2, obstructed
+    # additively and for even product exponents)
+    monkeypatch.setattr(genericity, "_search_witness", None)
+    outcomes = {True: 0, False: 0}
+    for sid in all_series_ids(20):
+        t = series(str(sid))
+        if t.n > 14:
+            shapes = [t]
+        elif t.n >= 8:
+            shapes = [JnfTuple.from_pmv([[2 * m for m in e.eigenvalue_multiplicities()]
+                                         for e in t.entries])]
+        else:
+            continue
+        for mode, exponent in [("additive", 1)] + [("multiplicative", e) for e in range(4)]:
+            for t in shapes:
+                w = nongenericity_witness(candidate_assignment(t, mode, product_exponent=exponent))
+                try:
+                    generate_generic(t, mode, product_exponent=exponent)
+                except ObstructionError as err:
+                    assert err.witness == w, (t, mode, exponent)
+                else:
+                    assert w is None, (t, mode, exponent)
+                outcomes[w is None] += 1
+    assert min(outcomes.values()) > 50
+
+
+def test_search_stops_at_half_under_the_trace_condition(monkeypatch):
+    # a relation at kappa > n/2 has its complement at n - kappa, so n=6 scans kappa <= 3
+    kappas = set()
+    subvectors = genericity._weighted_subvectors
+    monkeypatch.setattr(genericity, "_weighted_subvectors",
+                        lambda entry, kappa: kappas.add(kappa) or subvectors(entry, kappa))
+    a = rational_assignment(random.Random(3), [(3, 3), (2, 2, 2), (4, 2)])
+    assert trace_condition(a) and _search_witness(a) is None and naive_witness(a) is None
+    assert kappas == {1, 2, 3}
+
+
+def test_search_scans_every_kappa_without_the_trace_condition():
+    # values 1(x2),3 / -2(x2),5 sum to 6, so the halved scan does not apply; the
+    # only relation, 1 + 3 + 2*(-2) = 0, has kappa 2 > n/2
+    a = EigenvalueAssignment("additive", tuple(
+        ((ExactValue.rational(x), 2), (ExactValue.rational(y), 1)) for x, y in ((1, 3), (-2, 5))))
+    assert not trace_condition(a)
+    for w in (nongenericity_witness(a), _search_witness(a)):
+        assert (w.kappa, w.sub_multiplicities) == (2, ((1, 1), (2, 0)))
+    assert _key(w) == naive_witness(a)
 
 
 def test_assignment_json_round_trip():

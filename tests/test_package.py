@@ -81,9 +81,12 @@ def _newly_loaded(body: str) -> list[str]:
     (["dual", "--partition", "(2,1)"], ["cli", "errors", "jnf", "partitions"]),
     (["generic-gen", "(1,1);(1,1);(1,1)"],
      ["cli", "errors", "genericity", "jnf", "partitions"]),
+    (["generic-check", '{"mode":"additive","entries":[[{"coeffs":{"t1":"1"},"mult":1},'
+      '{"coeffs":{"t1":"-1"},"mult":1}],[{"coeffs":{},"mult":2}]]}'],
+     ["cli", "errors", "genericity"]),
     (["decide", "(1,1);(1,1);(1,1)"],
      ["catalog", "cli", "errors", "jnf", "partitions", "reduction"]),
-], ids=["import", "help", "dual", "generic-gen", "decide"])
+], ids=["import", "help", "dual", "generic-gen", "generic-check", "decide"])
 def test_start_up_loads_only_what_the_command_runs(argv, submodules):
     body = "import dspkit" if argv is None else _MAIN.format(argv=argv)
     loaded = _newly_loaded(body)
@@ -91,3 +94,6 @@ def test_start_up_loads_only_what_the_command_runs(argv, submodules):
     if argv is not None and argv[0] == "decide":
         # the decision path uses no rational arithmetic
         assert "fractions" not in loaded and "decimal" not in loaded
+    if argv is not None and argv[0] == "generic-check":
+        # the genericity value records are written out, not frozen dataclasses
+        assert "dataclasses" not in loaded and "inspect" not in loaded

@@ -151,9 +151,15 @@ def test_defect_constant_along_traces():
 
 
 def test_tie_breaking_does_not_change_verdict_or_diagonal_result():
+    # draw (every other tuple diagonal) until 100 tuples are stepped, at least 50
+    # of them with a tie between maximal slots and 20 of those diagonal, so the
+    # claim does not rest on a handful of tuples
     rng = random.Random(23)
-    for _ in range(150):
-        t = random_jnf_tuple(rng, rng.randint(2, 9), rng.randint(2, 4))
+    stepped = ties = diagonal_ties = 0
+    while stepped < 100 or ties < 50 or diagonal_ties < 20:
+        n, entries = rng.randint(2, 9), rng.randint(2, 4)
+        t = (JnfTuple.from_pmv(random_pmv(rng, n, entries)) if stepped % 2
+             else random_jnf_tuple(rng, n, entries))
         rep = check_conditions(t)
         if rep.omega or not rep.beta or any(e.is_scalar() for e in t.entries):
             continue
@@ -171,6 +177,10 @@ def test_tie_breaking_does_not_change_verdict_or_diagonal_result():
             assert decide(out).solvable == verdict
         if t.is_diagonal:
             assert len(results) == 1
+        tie = any(len(c) > 1 for c in choice_sets)
+        stepped += 1
+        ties += tie
+        diagonal_ties += tie and t.is_diagonal
 
 
 def _raw(t: JnfTuple) -> list[list[tuple[int, ...]]]:
