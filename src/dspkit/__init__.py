@@ -11,13 +11,13 @@ __version__ = "0.1.0"
 #: Each submodule and the names the package exports from it.
 _EXPORTS = {
     "catalog": (
-        "ChainStep", "SeriesId", "all_series_ids", "antipassage_targets", "case_omega",
-        "catalog_lines", "defect", "enumerate_rigid", "expected_chain", "identify", "is_rigid",
-        "min_d_mv", "parse_series_id", "passage", "series", "verify_chain",
+        "ChainStep", "SeriesId", "all_series_ids", "catalog_lines", "defect", "enumerate_rigid",
+        "identify", "is_rigid", "min_d_mv", "parse_series_id", "series", "verify_chain",
+        "verify_step",
     ),
     "errors": (
         "ChainMismatchError", "DspkitError", "ObstructionError", "PreconditionError",
-        "ResourceLimitError", "SeriesParameterError", "UndefinedMoveError",
+        "ResourceLimitError", "SeriesParameterError",
     ),
     "genericity": (
         "EigenvalueAssignment", "ExactValue", "NongenericityWitness", "assignment_from_dict",

@@ -1,6 +1,6 @@
-"""Rigidity arithmetic, multiplicity-vector moves, the named-series catalog,
-and the enumerator of rigid diagonal tuples, which grows them from size 1 by
-running the reduction step backwards.
+"""Rigidity arithmetic, the named-series catalog with its reduction chains, and the
+enumerator of rigid diagonal tuples, which grows them from size 1 by running the
+reduction step backwards.
 
 A tuple is rigid when its defect 2n^2 - sum(d_j) equals 2.  The catalog holds one
 record per named family (its size map, parameter range, generator and successor in
@@ -17,13 +17,13 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import (
     ChainMismatchError,
+    PreconditionError,
     ResourceLimitError,
     SeriesParameterError,
-    UndefinedMoveError,
 )
 from .jnf import JnfTuple
 from .partitions import Partition, format_vectors, normalize
-from .reduction import decide, solvable_pmv
+from .reduction import psi_step, solvable_pmv
 
 #: Default guard for the enumerator (overridable, e.g. via DSPKIT_MAX_N).
 DEFAULT_MAX_ENUM_N = 40
@@ -34,7 +34,7 @@ MAX_ENUM_ENTRIES = 6
 
 
 # ---------------------------------------------------------------------------
-# defect and multiplicity-vector moves
+# defect and the dimension-minimizing vector
 
 
 def defect(t: JnfTuple) -> int:
@@ -47,54 +47,6 @@ def is_rigid(t: JnfTuple) -> bool:
     return defect(t) == 2
 
 
-def passage(mv: Partition) -> Partition:
-    """Rebalance one multiplicity vector: first strictly-smaller component up by 1,
-    last component down by 1.  Preserves n and r, strictly decreases d."""
-    parts = mv.parts
-    mu = 1
-    while mu < len(parts) and parts[mu] == parts[0]:
-        mu += 1
-    if mu >= len(parts) - 1:
-        raise UndefinedMoveError(f"no passage defined for {mv}")
-    out = list(parts)
-    out[mu] += 1
-    out[-1] -= 1
-    return normalize(out)
-
-
-def antipassage_targets(mv: Partition) -> frozenset[Partition]:
-    """All vectors from which a single passage produces ``mv``."""
-    counts = list(mv.parts)
-    results = set()
-    values = sorted(set(counts))
-
-    def without(seq: list[int], value: int) -> list[int]:
-        out = list(seq)
-        out.remove(value)
-        return out
-
-    for w in values:
-        if w < 2:
-            continue
-        base = without(counts, w)
-        # the decremented component may have vanished entirely (it was a 1) ...
-        cand = normalize(base + [w - 1, 1])
-        try:
-            if passage(cand) == mv:
-                results.add(cand)
-        except UndefinedMoveError:
-            pass
-        # ... or it is still present as some component z
-        for z in sorted(set(base)):
-            cand = normalize(without(base, z) + [w - 1, z + 1])
-            try:
-                if passage(cand) == mv:
-                    results.add(cand)
-            except UndefinedMoveError:
-                pass
-    return frozenset(results)
-
-
 def min_d_mv(n: int, r: int) -> Partition:
     """The unique multiplicity vector of size ``n`` minimizing d at fixed rank ``r``."""
     if n < 1 or r < 0 or r > n - 1:
@@ -104,14 +56,6 @@ def min_d_mv(n: int, r: int) -> Partition:
     m = n - r
     q = n % m or m
     return Partition((m,) * ((n - q) // m) + (q,))
-
-
-def case_omega(n: int) -> JnfTuple:
-    """The exceptional quadruple with defect 4 at even sizes."""
-    if n < 4 or n % 2:
-        raise ValueError("defined for even n >= 4")
-    h = n // 2
-    return JnfTuple.from_pmv([(2,) * h, (h, h), (h + 1, h - 1), (n - 1, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -386,49 +330,51 @@ class ChainStep:
         return format_vectors(mv.parts for mv in self.mvs)
 
 
-def expected_chain(sid: SeriesId | str) -> list[ChainStep]:
-    """The family's symbolic reduction chain, fully instantiated."""
-    if isinstance(sid, str):
-        sid = parse_series_id(sid)
-    chain: list[ChainStep] = []
-    while True:
-        mvs = series_mvs(sid)
-        chain.append(ChainStep(str(sid), mvs))
-        if mvs[0].size == 1:
-            return chain
-        nxt = FAMILIES[sid.name].succ(sid.param)
-        if isinstance(nxt, int):
-            chain.append(ChainStep(";".join(["(1)"] * nxt), (Partition((1,)),) * nxt))
-            return chain
-        sid = nxt
+def _chain_step(node: SeriesId | int) -> ChainStep:
+    """A chain member: a catalog instance, or a tail of that many size-1 entries."""
+    if isinstance(node, int):
+        return ChainStep(";".join(["(1)"] * node), (Partition((1,)),) * node)
+    return ChainStep(str(node), series_mvs(node))
 
 
-def verify_chain(sid: SeriesId | str) -> list[ChainStep]:
-    """Check the instance's defect, run the decision on it and match its trace
-    against the chain.
+def verify_step(sid: SeriesId | str) -> SeriesId | int | None:
+    """Check one edge of the instance's reduction chain and return its successor
+    (``None`` at size 1).
 
-    Returns the checked ``ChainStep``s; raises ``ChainMismatchError`` on a
-    defect other than 2, on the first step whose state differs from the
-    expected instance, or on a non-solvable verdict.
+    Raises ``ChainMismatchError`` unless the defect is 2 and, above size 1, one
+    reduction step (scalar entries of the result dropped, unless it has size 1) gives
+    the successor's vectors.  Successors are smaller catalog instances, so checking
+    every instance up to some size proves every chain up to it, and the verdict
+    ``ReducedToSize1``.
     """
     if isinstance(sid, str):
         sid = parse_series_id(sid)
-    expected = expected_chain(sid)
-    t = JnfTuple.from_pmv(expected[0].mvs)
+    t = series(sid)
     if not is_rigid(t):
         raise ChainMismatchError(f"{sid}: defect is {defect(t)}, not 2")
-    trace = decide(t)
-    if len(trace.steps) != len(expected):
-        raise ChainMismatchError(
-            f"{sid}: trace has {len(trace.steps)} steps, chain expects {len(expected)}")
-    for i, (step, exp) in enumerate(zip(trace.steps, expected)):
-        if not (step.state.is_diagonal
-                and tuple(sorted(step.state.pmv(), reverse=True)) == exp.mvs):
-            raise ChainMismatchError(
-                f"{sid}: step {i} is {step.state}, expected {exp.label} = {exp}")
-    if not trace.verdict.solvable:
-        raise ChainMismatchError(f"{sid}: chain ran but verdict is not solvable")
-    return expected
+    if t.n == 1:
+        return None
+    nxt = FAMILIES[sid.name].succ(sid.param)
+    want = _chain_step(nxt)
+    try:
+        got = psi_step(t)
+    except PreconditionError as exc:
+        raise ChainMismatchError(f"{sid}: step 1 is undefined ({exc})") from None
+    mvs = sorted((mv for mv in got.pmv() if got.n == 1 or len(mv.parts) > 1), reverse=True)
+    if tuple(mvs) != want.mvs:
+        state = format_vectors(mv.parts for mv in mvs)
+        raise ChainMismatchError(f"{sid}: step 1 is {state}, expected {want.label} = {want}")
+    return nxt
+
+
+def verify_chain(sid: SeriesId | str) -> list[ChainStep]:
+    """The instance's reduction chain, each edge checked with ``verify_step``."""
+    node = parse_series_id(sid) if isinstance(sid, str) else sid
+    chain = []
+    while node is not None:
+        chain.append(_chain_step(node))
+        node = verify_step(node) if isinstance(node, SeriesId) else None
+    return chain
 
 
 # ---------------------------------------------------------------------------

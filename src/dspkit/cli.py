@@ -10,6 +10,11 @@ when an input with n > 14 needs the relation search or its relation system is
 too large (past about HG_350).  generic-gen's --seed, like enum-rigid's
 --jobs, is accepted and has no effect (perfbench's workloads pass both).
 
+catalog-verify --chains checks one reduction step per instance: each successor
+is a smaller instance of the same run, so that proves every chain, and no
+decision runs.  chain ID checks the steps of one chain the same way.  A step
+that is not defined is a chain mismatch (exit 1), not malformed input.
+
 Start-up loads only what the command runs: at module level this file imports
 just the standard library and ``errors``, and each command handler imports its
 own modules on its first lines, before it reads any input.
@@ -274,7 +279,8 @@ def _cmd_catalog_verify(args) -> int:
         failure = None
         if args.chains:
             try:
-                catalog.verify_chain(sid)  # checks the defect, every step and the verdict
+                # one edge: each successor is a smaller instance checked in this run too
+                catalog.verify_step(sid)
             except ChainMismatchError as exc:
                 failure = str(exc)
         else:

@@ -13,16 +13,12 @@ class PreconditionError(DspkitError, ValueError):
     """An operation was invoked outside its defined domain."""
 
 
-class UndefinedMoveError(DspkitError, ValueError):
-    """A multiplicity-vector move is not defined for this input."""
-
-
 class SeriesParameterError(DspkitError, ValueError):
     """A series parameter lies outside the family's validity range."""
 
 
 class ChainMismatchError(DspkitError):
-    """A reduction trace does not follow the expected symbolic chain."""
+    """A catalog instance is not rigid, or its reduction step misses its successor."""
 
 
 class ObstructionError(DspkitError):

@@ -28,10 +28,11 @@ from .errors import PreconditionError
 from .jnf import Jnf, JnfTuple, jnf_tuple_to_dict
 from .partitions import normalize
 
-#: Bound on the memoized per-entry cuts, chosen by measurement: one
-#: `catalog-verify --max-n 30 --chains` run makes 16,701 cuts of 641 distinct
-#: (entry, slot, k) triples, and a `decide --file` of 500 mixed random and
-#: catalog lines makes about 5,400 cuts of 890-960 distinct triples.
+#: Bound on the memoized per-entry cuts, chosen by measurement: a `decide --file`
+#: of 500 mixed random and catalog lines (perfbench's `batch`, seed 7919) makes
+#: 5,528 cuts of 957 distinct (entry, slot, k) triples; deciding and naming its
+#: lines in process took 0.118 s with the cache and 0.211 s without (medians of
+#: 12 alternating runs, Python 3.11, 2 cores).
 _CUT_CACHE_SIZE = 1024
 
 

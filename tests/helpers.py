@@ -185,6 +185,14 @@ def reference_psi_step(blocks, pick=None):
     return out
 
 
+def case_omega(n: int) -> JnfTuple:
+    """The exceptional quadruple with defect 4 at even sizes."""
+    if n < 4 or n % 2:
+        raise ValueError("defined for even n >= 4")
+    h = n // 2
+    return JnfTuple.from_pmv([(2,) * h, (h, h), (h + 1, h - 1), (n - 1, 1)])
+
+
 def scan_rigid(n, entries, u=None, no_all_ones=False, no_scalar=False):
     """Solvable rigid diagonal tuples of size ``n`` by a full scan: canonical
     multiplicity vectors, sorted.  The first entry runs over the partitions of

@@ -30,7 +30,6 @@ from dspkit import (
     Reason,
     SeriesId,
     candidate_assignment,
-    case_omega,
     check_conditions,
     corresponding_diagonal,
     decide,
@@ -50,6 +49,7 @@ from dspkit.catalog import FAMILIES, all_series_ids, parse_series_id, series_mvs
 from dspkit.reduction import solvable_pmv
 from helpers import (
     all_jnfs,
+    case_omega,
     centralizer_dim_oracle,
     random_jnf_tuple,
     rational_assignment,

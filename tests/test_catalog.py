@@ -7,19 +7,18 @@ from hypothesis import strategies as st
 
 from dspkit import (
     ChainMismatchError,
+    ChainStep,
     Jnf,
     JnfTuple,
     Partition,
+    Reason,
     ResourceLimitError,
     SeriesParameterError,
-    UndefinedMoveError,
     all_series_ids,
-    antipassage_targets,
-    case_omega,
     catalog_lines,
+    decide,
     defect,
     enumerate_rigid,
-    expected_chain,
     identify,
     is_rigid,
     min_d_mv,
@@ -27,12 +26,12 @@ from dspkit import (
     parse_pmv,
     parse_series_id,
     partitions_of,
-    passage,
     series,
     verify_chain,
+    verify_step,
 )
 from dspkit.catalog import FAMILIES, SeriesId, series_mvs
-from helpers import reduces_to_simple_root, scan_rigid
+from helpers import case_omega, reduces_to_simple_root, scan_rigid
 
 
 def mv_r(p):
@@ -64,67 +63,6 @@ def test_defect_near_miss_quintuple():
         t = JnfTuple.from_pmv([(2,) * h, (h + 1, h - 1), (h + 1, h - 1),
                                (n - 1, 1), (n - 1, 1)])
         assert defect(t) == 8 - 2 * n
-
-
-# ---------------------------------------------------------------------------
-# passage / antipassage
-
-
-def test_passage_examples():
-    assert passage(Partition((3, 3, 1, 1))).parts == (3, 3, 2)
-    assert passage(Partition((4, 4, 1, 1))).parts == (4, 4, 2)
-    with pytest.raises(UndefinedMoveError):
-        passage(Partition((2, 2, 2)))
-    with pytest.raises(UndefinedMoveError):
-        passage(Partition((3, 2)))
-
-
-def test_passage_preserves_n_r_and_decreases_d():
-    for n in range(3, 15):
-        for parts in partitions_of(n):
-            p = Partition(parts)
-            try:
-                q = passage(p)
-            except UndefinedMoveError:
-                continue
-            assert q.size == n
-            assert mv_r(q) == mv_r(p)
-            mu = len([x for x in parts if x == parts[0]])
-            drop = 2 * (parts[mu] - parts[-1] + 1)
-            assert mv_d(p) - mv_d(q) == -drop or mv_d(q) - mv_d(p) == -drop
-            assert mv_d(q) < mv_d(p)
-            assert mv_d(p) - mv_d(q) == drop
-
-
-def test_antipassage_examples():
-    assert Partition((3, 3, 1, 1)) in antipassage_targets(Partition((3, 3, 2)))
-    assert antipassage_targets(Partition((1, 1))) == frozenset()
-
-
-def test_antipassage_is_exact_inverse_image():
-    for n in range(2, 13):
-        for parts in partitions_of(n):
-            target = Partition(parts)
-            brute = set()
-            for cand_parts in partitions_of(n):
-                cand = Partition(cand_parts)
-                try:
-                    if passage(cand) == target:
-                        brute.add(cand)
-                except UndefinedMoveError:
-                    pass
-            assert antipassage_targets(target) == frozenset(brute)
-
-
-@given(st.integers(min_value=2, max_value=14))
-def test_passage_round_trips_through_antipassage(n):
-    for parts in partitions_of(n):
-        p = Partition(parts)
-        try:
-            q = passage(p)
-        except UndefinedMoveError:
-            continue
-        assert p in antipassage_targets(q)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +170,27 @@ def test_verify_chain_examples():
     assert _chain_labels("Xi_8") == ["Xi_8", "Pi_7", "Pi_5", "Pi_3", "S_0"]
     assert _chain_labels("Star_3") == ["Star_3", "(1);(1);(1);(1)"]
     assert _chain_labels("T_1") == ["T_1", "(1);(1);(1);(1);(1)"]
-    assert verify_chain("W_1") == expected_chain("W_1")
+    assert verify_chain("W_1") == [ChainStep(str(sid), series_mvs(sid))
+                                   for sid in (SeriesId("W", 1), SeriesId("B", 1), SeriesId("W", 0))]
+
+
+def test_verify_step_returns_the_successor():
+    assert verify_step("W_1") == SeriesId("B", 1)
+    assert verify_step(SeriesId("T", 1)) == 5
+    assert verify_step("W_0") is None
+
+
+def test_verify_chain_matches_the_decide_trace_to_60():
+    # decide is the reference: the chain's vectors are the trace's post-drop states
+    for sid in all_series_ids(60):
+        trace = decide(series(sid))
+        assert trace.verdict.reason is Reason.REDUCED_TO_SIZE1, sid
+        states = [tuple(sorted(step.state.pmv(), reverse=True)) for step in trace.steps]
+        assert [step.mvs for step in verify_chain(sid)] == states, sid
 
 
 def test_each_successor_is_a_smaller_instance_or_a_ones_count():
-    # one step per instance of size >= 2; verify_chain walks the chains themselves
+    # so verify_step on every instance up to a size proves every chain up to it
     for sid in all_series_ids(200):
         fam = FAMILIES[sid.name]
         n = fam.n_of(sid.param)

@@ -443,6 +443,34 @@ def test_catalog_verify(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["all_ok"] is False
     assert payload["families"]["W"]["ok"] < payload["families"]["W"]["instances"]
+    # each failure is its own bad edge: B's chains run through W, and B stays OK
+    assert [f.split(":")[0] for f in payload["failures"]] == ["W_1", "W_2", "W_3"]
+    assert payload["families"]["B"]["ok"] == payload["families"]["B"]["instances"]
+
+
+def test_catalog_verify_chains_steps_each_instance_once(capsys, monkeypatch):
+    import dspkit.catalog as cat
+    import dspkit.reduction as red
+
+    calls = []
+    psi_step = cat.psi_step
+    monkeypatch.setattr(cat, "psi_step", lambda t: calls.append(t) or psi_step(t))
+    monkeypatch.setattr(red, "decide", None)
+    code, out, _ = run(capsys, "catalog-verify", "--max-n", "30", "--chains", "--json")
+    assert code == 0 and json.loads(out)["all_ok"] is True
+    assert 0 < len(calls) <= len(list(cat.all_series_ids(30)))
+
+
+def test_an_undefined_chain_step_exits_1(capsys, monkeypatch):
+    import dspkit.catalog as cat
+
+    # an extra scalar entry keeps W_1's defect at 2, but the step is not defined on it
+    monkeypatch.setitem(cat.FAMILIES, "W", dataclasses.replace(
+        cat.FAMILIES["W"], build=lambda k: [[k, k, k + 1]] * 3 + [[3 * k + 1]]))
+    code, _, err = run(capsys, "chain", "W_1")
+    assert code == 1 and err.startswith("error: W_1: step 1 is undefined")
+    code, out, _ = run(capsys, "catalog-verify", "--max-n", "12", "--chains", "--json")
+    assert code == 1 and "W_1" in [f.split(":")[0] for f in json.loads(out)["failures"]]
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,15 +13,15 @@ EXPORTS = sorted([
     "ExactValue", "Jnf", "JnfTuple", "NongenericityWitness",
     "ObstructionError", "Partition", "PreconditionError", "Reason", "ReductionTrace",
     "ResourceLimitError", "SeriesId", "SeriesParameterError", "TraceStep",
-    "UndefinedMoveError", "Verdict", "all_series_ids", "antipassage_targets",
+    "Verdict", "all_series_ids",
     "assignment_from_dict", "assignment_to_dict", "candidate_assignment",
-    "case_omega", "catalog_lines", "check_conditions", "corresponding_diagonal", "decide",
-    "defect", "diagonalized", "disjoint_sum", "dual", "enumerate_rigid", "expected_chain",
+    "catalog_lines", "check_conditions", "corresponding_diagonal", "decide",
+    "defect", "diagonalized", "disjoint_sum", "dual", "enumerate_rigid",
     "gcd_obstruction", "generate_generic", "identify", "is_generic", "is_rigid", "jnf_from_dict",
     "jnf_to_dict", "jnf_tuple_from_dict", "jnf_tuple_to_dict", "min_d_mv",
     "nongenericity_witness", "normalize", "parse_partition", "parse_pmv", "parse_series_id",
-    "partitions_of", "passage", "psi_step", "series", "solvable_pmv", "trace_condition",
-    "trace_to_dict", "verify_chain",
+    "partitions_of", "psi_step", "series", "solvable_pmv", "trace_condition",
+    "trace_to_dict", "verify_chain", "verify_step",
 ])
 
 
