@@ -29,7 +29,7 @@ _EXPORTS = {
         "jnf_to_dict", "jnf_tuple_from_dict", "jnf_tuple_to_dict", "parse_pmv",
     ),
     "partitions": (
-        "Partition", "disjoint_sum", "dual", "normalize", "parse_partition", "partitions_of",
+        "Partition", "disjoint_sum", "dual", "normalize", "parse_partition",
     ),
     "reduction": (
         "ConditionReport", "Reason", "ReductionTrace", "TraceStep", "Verdict",

@@ -341,11 +341,11 @@ def verify_step(sid: SeriesId | str) -> SeriesId | int | None:
     """Check one edge of the instance's reduction chain and return its successor
     (``None`` at size 1).
 
-    Raises ``ChainMismatchError`` unless the defect is 2 and, above size 1, one
-    reduction step (scalar entries of the result dropped, unless it has size 1) gives
-    the successor's vectors.  Successors are smaller catalog instances, so checking
-    every instance up to some size proves every chain up to it, and the verdict
-    ``ReducedToSize1``.
+    Raises ``ChainMismatchError`` unless the defect is 2 and, above size 1, the
+    successor is a catalog instance and one reduction step (scalar entries of the
+    result dropped, unless it has size 1) gives its vectors.  Successors are smaller
+    catalog instances, so checking every instance up to some size proves every chain
+    up to it, and the verdict ``ReducedToSize1``.
     """
     if isinstance(sid, str):
         sid = parse_series_id(sid)
@@ -355,7 +355,10 @@ def verify_step(sid: SeriesId | str) -> SeriesId | int | None:
     if t.n == 1:
         return None
     nxt = FAMILIES[sid.name].succ(sid.param)
-    want = _chain_step(nxt)
+    try:
+        want = _chain_step(nxt)
+    except SeriesParameterError as exc:
+        raise ChainMismatchError(f"{sid}: bad successor {nxt} ({exc})") from None
     try:
         got = psi_step(t)
     except PreconditionError as exc:

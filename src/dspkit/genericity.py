@@ -72,7 +72,7 @@ class ExactValue(_Record):
     """q_0 + sum q_b * t_b with rational coefficients and formal basis t_b.
 
     A value record with no arithmetic: sums of values are taken on the integer
-    coordinates of ``_integer_entries``.  Each basis index appears once.
+    coordinates of ``EigenvalueAssignment``.  Each basis index appears once.
     """
 
     const: Fraction
@@ -110,18 +110,29 @@ class ExactValue(_Record):
         for key, val in data.items():
             if type(val) not in (int, str):
                 raise ValueError(f"coefficient {val!r} is not a string such as \"1/10\" or an int")
-            if key == "1":
-                const = Fraction(val)
-            elif key[1:].isascii() and key[1:].isdigit() and key == f"t{int(key[1:])}":
-                # only the form to_coeff_dict writes: no sign, space, "_" or leading zero
-                formal.append((int(key[1:]), Fraction(val)))
-            else:
+            # only the form to_coeff_dict writes: no sign, space, "_" or leading zero
+            if key != "1" and not (key[1:].isascii() and key[1:].isdigit()
+                                   and key == f"t{int(key[1:])}"):
                 raise ValueError(f"bad coefficient key {key!r}")
+            try:
+                q = Fraction(val)
+            except ZeroDivisionError:
+                raise ValueError(f"coefficient {val!r} has a zero denominator") from None
+            if key == "1":
+                const = q
+            else:
+                formal.append((int(key[1:]), q))
         return cls(const, tuple(formal))
 
 
 class EigenvalueAssignment(_Record):
-    """Per entry: (value, multiplicity) pairs matching the tuple's eigenvalue slots."""
+    """Per entry: (value, multiplicity) pairs matching the tuple's eigenvalue slots.
+
+    Outside its fields (so equality, hash and repr ignore it) it keeps the
+    integer view every sum in this module runs on: ``_coords`` holds, entry by
+    entry, each value q_0 + sum q_b * t_b as ``_denom`` * (q_0, q_b1, ...) over
+    ``_basis``, the formal indices that occur, ascending, with its multiplicity.
+    """
 
     mode: str  # "additive" | "multiplicative"
     entries: tuple[tuple[tuple[ExactValue, int], ...], ...]
@@ -143,6 +154,21 @@ class EigenvalueAssignment(_Record):
             sizes.add(sum(m for _, m in entry))
         if len(sizes) != 1:
             raise ValueError(f"entries disagree on total size: {sorted(sizes)}")
+        values = [v for entry in entries for v, _ in entry]
+        basis = tuple(sorted({b for v in values for b, _ in v.formal}))
+        position = {b: k for k, b in enumerate(basis, 1)}
+        denom = math.lcm(*(q.denominator for v in values
+                           for q in (v.const, *(cf for _, cf in v.formal))))
+
+        def coords(v: ExactValue) -> tuple[int, ...]:
+            row = [0] * (len(basis) + 1)
+            row[0] = v.const.numerator * (denom // v.const.denominator)
+            for b, cf in v.formal:
+                row[position[b]] = cf.numerator * (denom // cf.denominator)
+            return tuple(row)
+
+        self._set(_denom=denom, _basis=basis,
+                  _coords=tuple(tuple((coords(v), m) for v, m in entry) for entry in entries))
 
     @property
     def n(self) -> int:
@@ -161,52 +187,29 @@ class NongenericityWitness(_Record):
         self._set(kappa=kappa, sub_multiplicities=sub_multiplicities, total=total)
 
 
-def _integer_entries(a: EigenvalueAssignment):
-    """The assignment's values as integer coordinate tuples over one common
-    denominator D: a value q_0 + sum q_b * t_b becomes D * (q_0, q_b1, q_b2, ...)
-    over the formal indices b that occur anywhere in ``a``.  Returns D, those
-    indices in ascending order and the entries as (coordinates, multiplicity)
-    pairs.  Every sum of values in this module is taken on these coordinates."""
-    values = [v for entry in a.entries for v, _ in entry]
-    basis = sorted({b for v in values for b, _ in v.formal})
-    position = {b: k for k, b in enumerate(basis, 1)}
-    denom = math.lcm(*(q.denominator for v in values for q in (v.const, *(cf for _, cf in v.formal))))
-
-    def coords(v: ExactValue) -> tuple[int, ...]:
-        row = [0] * (len(basis) + 1)
-        row[0] = v.const.numerator * (denom // v.const.denominator)
-        for b, cf in v.formal:
-            row[position[b]] = cf.numerator * (denom // cf.denominator)
-        return tuple(row)
-
-    return denom, basis, [[(coords(v), m) for v, m in entry] for entry in a.entries]
-
-
-def _selection_sum(a: EigenvalueAssignment, choice) -> tuple[int, list[int], list[int]]:
-    """D, the formal indices and the integer coordinates (see
-    ``_integer_entries``) of sum c * v over the slots of ``a``, with one
-    weight vector c per entry in ``choice``."""
-    denom, basis, entries = _integer_entries(a)
-    total = [0] * (len(basis) + 1)
-    for entry, vec in zip(entries, choice):
+def _selection_sum(a: EigenvalueAssignment, choice) -> list[int]:
+    """The integer coordinates (see ``EigenvalueAssignment``) of sum c * v over
+    the slots of ``a``, with one weight vector c per entry in ``choice``."""
+    total = [0] * (len(a._basis) + 1)
+    for entry, vec in zip(a._coords, choice):
         for (coords, _), c in zip(entry, vec):
             total = [x + c * y for x, y in zip(total, coords)]
-    return denom, basis, total
+    return total
 
 
 def _selection_total(a: EigenvalueAssignment, choice) -> ExactValue:
     """The sum of ``_selection_sum`` as a value, for output."""
-    denom, basis, total = _selection_sum(a, choice)
+    denom, total = a._denom, _selection_sum(a, choice)
     return ExactValue(Fraction(total[0], denom),
-                      tuple(zip(basis, (Fraction(x, denom) for x in total[1:]))))
+                      tuple(zip(a._basis, (Fraction(x, denom) for x in total[1:]))))
 
 
 def trace_condition(a: EigenvalueAssignment) -> bool:
     """Sum of all values with multiplicity is 0 (additive) or integral
     (multiplicative, i.e. the product of the exp(2*pi*i*x) is 1)."""
-    denom, _, total = _selection_sum(a, a.multiplicities())
+    total = _selection_sum(a, a.multiplicities())
     if a.mode == "multiplicative":
-        total[0] %= denom
+        total[0] %= a._denom
     return not any(total)
 
 
@@ -250,7 +253,7 @@ def _prefix_sums(factors, dim: int) -> list[tuple[tuple, tuple[int, ...]]]:
 
 def _relation_rows(mode: str, entries) -> list[list[int]]:
     """The homogeneous integer system of a relation: one unknown c per slot
-    (entries in order, see ``_integer_entries``), one row per formal
+    (entries in order, see ``EigenvalueAssignment``), one row per formal
     coordinate, one for the constant coordinate in additive mode, and E - 1
     rows that give every entry the sum of the first."""
     slots = [coords for entry in entries for coords, _ in entry]
@@ -322,10 +325,9 @@ def nongenericity_witness(a: EigenvalueAssignment) -> NongenericityWitness | Non
     A system of more than ``_MAX_SYSTEM_ENTRIES`` entries raises
     ``ResourceLimitError`` before it is built.
     """
-    n = a.n
-    denom, basis, entries = _integer_entries(a)
+    n, denom, entries = a.n, a._denom, a._coords
     bounds = [m for entry in entries for _, m in entry]
-    height = len(basis) + (a.mode == "additive") + len(entries) - 1
+    height = len(a._basis) + (a.mode == "additive") + len(entries) - 1
     if height * len(bounds) > _MAX_SYSTEM_ENTRIES:
         raise ResourceLimitError(f"genericity check limited to relation systems of "
                                  f"{_MAX_SYSTEM_ENTRIES} entries, not {height} x {len(bounds)}")
@@ -368,7 +370,7 @@ def _search_witness(a: EigenvalueAssignment) -> NongenericityWitness | None:
 
     The search space per kappa is the product over entries of that entry's
     sub-multiplicity vectors with sum kappa; it is scanned meet-in-the-middle
-    on integer coordinates (see ``_integer_entries``).  A right-hand table maps
+    on integer coordinates (see ``EigenvalueAssignment``).  A right-hand table maps
     each sum to its first combination; the left-hand entries enter negated, so
     a relation is a left-hand sum that equals a right-hand key.  In the
     multiplicative setting only the constant coordinate modulo D matters.
@@ -378,8 +380,8 @@ def _search_witness(a: EigenvalueAssignment) -> NongenericityWitness | None:
     n = a.n
     if n > GENERIC_CHECK_MAX_N:
         raise ResourceLimitError(f"genericity check limited to n <= {GENERIC_CHECK_MAX_N}")
-    denom, basis, entries = _integer_entries(a)
-    dim = len(basis) + 1
+    denom, entries = a._denom, a._coords
+    dim = len(a._basis) + 1
     half = (len(entries) + 1) // 2
     left_entries = [[(tuple(-x for x in v), m) for v, m in entry] for entry in entries[:half]]
     right_entries = entries[half:]

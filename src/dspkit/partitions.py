@@ -96,20 +96,3 @@ def parse_parts(text: str) -> list[int]:
 def parse_partition(text: str) -> Partition:
     """Parse the text form; out-of-order parts and zeros are normalized away."""
     return normalize(parse_parts(text))
-
-
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of ``n`` as non-increasing tuples, largest first part first."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    cap = n if max_part is None else min(max_part, n)
-
-    def rec(m: int, c: int) -> Iterator[tuple[int, ...]]:
-        if m == 0:
-            yield ()
-            return
-        for first in range(min(c, m), 0, -1):
-            for rest in rec(m - first, first):
-                yield (first, *rest)
-
-    return rec(n, cap)

@@ -11,6 +11,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 import dspkit
 from dspkit import (
@@ -19,7 +20,6 @@ from dspkit import (
     Jnf,
     JnfTuple,
     ResourceLimitError,
-    partitions_of,
 )
 from dspkit.reduction import solvable_pmv
 
@@ -35,6 +35,23 @@ def fresh_python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=60)
+
+
+def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+    """All partitions of ``n`` as non-increasing tuples, largest first part first."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    cap = n if max_part is None else min(max_part, n)
+
+    def rec(m: int, c: int) -> Iterator[tuple[int, ...]]:
+        if m == 0:
+            yield ()
+            return
+        for first in range(min(c, m), 0, -1):
+            for rest in rec(m - first, first):
+                yield (first, *rest)
+
+    return rec(n, cap)
 
 
 def random_partition(rng: random.Random, n: int) -> tuple[int, ...]:

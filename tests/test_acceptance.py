@@ -40,7 +40,6 @@ from dspkit import (
     generate_generic,
     is_generic,
     nongenericity_witness,
-    partitions_of,
     series,
     trace_condition,
     verify_chain,
@@ -51,6 +50,7 @@ from helpers import (
     all_jnfs,
     case_omega,
     centralizer_dim_oracle,
+    partitions_of,
     random_jnf_tuple,
     rational_assignment,
     reduces_to_simple_root,

@@ -25,13 +25,12 @@ from dspkit import (
     normalize,
     parse_pmv,
     parse_series_id,
-    partitions_of,
     series,
     verify_chain,
     verify_step,
 )
 from dspkit.catalog import FAMILIES, SeriesId, series_mvs
-from helpers import case_omega, reduces_to_simple_root, scan_rigid
+from helpers import case_omega, partitions_of, reduces_to_simple_root, scan_rigid
 
 
 def mv_r(p):

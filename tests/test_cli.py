@@ -138,8 +138,9 @@ def _assignment(mult=1, coeff="1"):
     ["generic-check", _assignment(mult=True)],
     ["generic-check", _assignment(coeff=0.1)],
     ["generic-check", _assignment(coeff=True)],
+    ["generic-check", _assignment(coeff="1/0")],
 ], ids=["fractional-block", "string-block", "true-block", "fractional-n", "fractional-mult",
-        "string-mult", "true-mult", "float-coeff", "true-coeff"])
+        "string-mult", "true-mult", "float-coeff", "true-coeff", "zero-denominator-coeff"])
 def test_non_integer_numbers_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
@@ -448,7 +449,8 @@ def test_catalog_verify(capsys, monkeypatch):
     assert payload["families"]["B"]["ok"] == payload["families"]["B"]["instances"]
 
 
-def test_catalog_verify_chains_steps_each_instance_once(capsys, monkeypatch):
+@pytest.mark.parametrize("flags", [[], ["--chains"]], ids=["default", "chains"])
+def test_catalog_verify_chains_steps_each_instance_once(capsys, monkeypatch, flags):
     import dspkit.catalog as cat
     import dspkit.reduction as red
 
@@ -456,7 +458,7 @@ def test_catalog_verify_chains_steps_each_instance_once(capsys, monkeypatch):
     psi_step = cat.psi_step
     monkeypatch.setattr(cat, "psi_step", lambda t: calls.append(t) or psi_step(t))
     monkeypatch.setattr(red, "decide", None)
-    code, out, _ = run(capsys, "catalog-verify", "--max-n", "30", "--chains", "--json")
+    code, out, _ = run(capsys, "catalog-verify", "--max-n", "30", *flags, "--json")
     assert code == 0 and json.loads(out)["all_ok"] is True
     assert 0 < len(calls) <= len(list(cat.all_series_ids(30)))
 
@@ -471,6 +473,21 @@ def test_an_undefined_chain_step_exits_1(capsys, monkeypatch):
     assert code == 1 and err.startswith("error: W_1: step 1 is undefined")
     code, out, _ = run(capsys, "catalog-verify", "--max-n", "12", "--chains", "--json")
     assert code == 1 and "W_1" in [f.split(":")[0] for f in json.loads(out)["failures"]]
+
+
+def test_a_successor_outside_the_catalog_exits_1(capsys, monkeypatch):
+    import dspkit.catalog as cat
+
+    monkeypatch.setitem(cat.FAMILIES, "W", dataclasses.replace(
+        cat.FAMILIES["W"], succ=lambda k: cat.SeriesId("B", 0)))
+    code, _, err = run(capsys, "chain", "W_1")
+    assert code == 1 and err.startswith("error: W_1: bad successor B_0")
+    code, out, _ = run(capsys, "catalog-verify", "--max-n", "12", "--chains", "--json")
+    assert code == 1
+    assert [f.split(":")[0] for f in json.loads(out)["failures"]] == ["W_1", "W_2", "W_3"]
+    # an id the user gives is still malformed input
+    code, out, err = run(capsys, "chain", "B_0")
+    assert code == 2 and not out and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [

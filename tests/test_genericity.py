@@ -20,7 +20,6 @@ from dspkit import (
     generate_generic,
     is_generic,
     nongenericity_witness,
-    partitions_of,
     series,
     trace_condition,
 )
@@ -28,6 +27,7 @@ import dspkit.genericity as genericity
 from dspkit.genericity import _search_witness, _weighted_subvectors
 from helpers import (
     naive_witness,
+    partitions_of,
     planted_assignment,
     random_jnf_tuple,
     random_partition,

@@ -20,7 +20,7 @@ EXPORTS = sorted([
     "gcd_obstruction", "generate_generic", "identify", "is_generic", "is_rigid", "jnf_from_dict",
     "jnf_to_dict", "jnf_tuple_from_dict", "jnf_tuple_to_dict", "min_d_mv",
     "nongenericity_witness", "normalize", "parse_partition", "parse_pmv", "parse_series_id",
-    "partitions_of", "psi_step", "series", "solvable_pmv", "trace_condition",
+    "psi_step", "series", "solvable_pmv", "trace_condition",
     "trace_to_dict", "verify_chain", "verify_step",
 ])
 

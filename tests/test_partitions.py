@@ -8,8 +8,8 @@ from dspkit import (
     dual,
     normalize,
     parse_partition,
-    partitions_of,
 )
+from helpers import partitions_of
 
 parts_lists = st.lists(st.integers(min_value=0, max_value=12), max_size=10)
 

@@ -16,7 +16,6 @@ from dspkit import (
     decide,
     diagonalized,
     parse_pmv,
-    partitions_of,
     psi_step,
     series,
     solvable_pmv,
@@ -25,6 +24,7 @@ from dspkit import (
 from helpers import (
     all_jnfs,
     is_positive_root,
+    partitions_of,
     random_jnf_tuple,
     random_pmv,
     reference_psi_step,
