@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     ChainMismatchError,
@@ -62,8 +61,7 @@ def min_d_mv(n: int, r: int) -> Partition:
 # named series
 
 
-@dataclass(frozen=True)
-class SeriesId:
+class SeriesId(NamedTuple):
     name: str
     param: int
 
@@ -85,8 +83,7 @@ def parse_series_id(text: str) -> SeriesId:
     return SeriesId(name, int(param))
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     n_of: Callable[[int], int]  # increasing in the parameter
     ok: Callable[[int], bool]
     build: Callable[[int], list[list[int]]]
@@ -321,8 +318,7 @@ def identify(t: JnfTuple) -> list[str]:
 # reduction chains
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     label: str
     mvs: tuple[Partition, ...]
 

@@ -39,9 +39,9 @@ GENERIC_CHECK_MAX_N = 14
 
 class _Record:
     """An immutable value record: equality, hash and repr over the fields
-    annotated in the subclass, which ``__init__`` sets through ``_set``.  It
-    stands in for a frozen dataclass, whose import (with ``inspect``) would
-    cost every ``generic-check`` process about 10 ms."""
+    annotated in the subclass, which ``__init__`` sets through ``_set``.  The
+    package imports no ``dataclasses`` (which loads ``inspect``, about 10 ms
+    per process), so the records are written out."""
 
     def _set(self, **fields) -> None:
         self.__dict__.update(fields)

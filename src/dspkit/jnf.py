@@ -12,12 +12,11 @@ built.  Never mutate a ``Partition`` or ``Jnf`` with ``object.__setattr__``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import require_key
-from .partitions import Partition, disjoint_sum, dual, normalize, parse_parts
+from .partitions import Partition, _Frozen, disjoint_sum, dual, normalize, parse_parts
 
 #: Bound on the interned all-ones slots of ``Jnf.diagonal``, one per multiplicity.
 #: Without it a long-lived process could hold one slot of every size up to
@@ -30,18 +29,18 @@ def _ones(m: int) -> Partition:
     return Partition((1,) * m)
 
 
-@dataclass(frozen=True, order=True)
-class Jnf:
+class Jnf(_Frozen):
     """Jordan block sizes grouped by eigenvalue slot, canonically ordered.
 
     Also carries the size ``n``, the rank ``r``, the class dimension ``d`` and
     ``is_diagonal``, computed on construction.
     """
 
-    slots: tuple[Partition, ...]
+    # __dict__ holds the cached _mv
+    __slots__ = ("slots", "n", "r", "d", "is_diagonal", "__dict__")
 
-    def __post_init__(self) -> None:
-        slots = tuple(sorted(self.slots, reverse=True))
+    def __init__(self, slots: tuple[Partition, ...]) -> None:
+        slots = tuple(sorted(slots, reverse=True))
         object.__setattr__(self, "slots", slots)
         if not slots:
             raise ValueError("a Jordan shape needs at least one eigenvalue slot")
@@ -58,6 +57,37 @@ class Jnf:
         object.__setattr__(self, "d", n * n - sum(
             (2 * i + 1) * p for s in slots for i, p in enumerate(s.parts)))
         object.__setattr__(self, "is_diagonal", all(s.parts[0] == 1 for s in slots))
+
+    def __repr__(self) -> str:
+        return f"Jnf(slots={self.slots!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.slots == other.slots
+
+    def __hash__(self) -> int:
+        return hash((self.slots,))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.slots < other.slots
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.slots <= other.slots
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.slots > other.slots
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.slots >= other.slots
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Jnf":
@@ -101,20 +131,30 @@ def corresponding_diagonal(j: Jnf) -> Partition:
     return disjoint_sum(dual(s) for s in j.slots)
 
 
-@dataclass(frozen=True)
-class JnfTuple:
+class JnfTuple(_Frozen):
     """An ordered tuple of shapes of one common size, the decision-procedure input."""
 
-    entries: tuple[Jnf, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
+    def __init__(self, entries: tuple[Jnf, ...]) -> None:
+        entries = tuple(entries)
         object.__setattr__(self, "entries", entries)
         if len(entries) < 2:
             raise ValueError("need at least two entries")
         sizes = {e.n for e in entries}
         if len(sizes) != 1:
             raise ValueError(f"entries disagree on size: {sorted(sizes)}")
+
+    def __repr__(self) -> str:
+        return f"JnfTuple(entries={self.entries!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     @classmethod
     def from_pmv(cls, mvs: Iterable[Partition | Iterable[int]]) -> "JnfTuple":

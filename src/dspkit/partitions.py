@@ -2,25 +2,37 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 #: Hard cap on partition size; keeps n**2 arithmetic trivially safe everywhere.
 MAX_SIZE = 10_000
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+class _Frozen:
+    """Base of the immutable value types: instances are filled in ``__init__``
+    with ``object.__setattr__`` and refuse assignment and deletion afterwards."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Partition(_Frozen):
     """A non-increasing tuple of positive ints (no ``bool`` or ``float``).  The
     empty partition is allowed.
 
-    ``size``, the sum of the parts, is computed on construction.
+    ``size``, the sum of the parts, is computed on construction; equality,
+    hashing and ordering see only ``parts``.
     """
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ("parts", "size")
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        parts = tuple(parts)
         object.__setattr__(self, "parts", parts)
         prev = None
         total = 0
@@ -34,6 +46,37 @@ class Partition:
         if total > MAX_SIZE:
             raise ValueError(f"partition size {total} exceeds the cap {MAX_SIZE}")
         object.__setattr__(self, "size", total)
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts < other.parts
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts <= other.parts
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts > other.parts
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts >= other.parts
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)

@@ -19,10 +19,9 @@ be shared objects.  They are immutable; never mutate them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError
 from .jnf import Jnf, JnfTuple, jnf_tuple_to_dict
@@ -44,8 +43,7 @@ class Reason(str, Enum):
     DEGENERATE_INPUT = "DegenerateInput"
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     alpha: bool
     alpha_slack: int
     beta: bool
@@ -54,15 +52,13 @@ class ConditionReport:
     omega_slack: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     solvable: bool
     reason: Reason
     at_step: int
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     state: JnfTuple
     report: ConditionReport
     n: int
@@ -70,8 +66,7 @@ class TraceStep:
     dropped_scalar_indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     steps: tuple[TraceStep, ...]
     verdict: Verdict
 

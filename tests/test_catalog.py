@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -207,8 +206,8 @@ def test_each_successor_is_a_smaller_instance_or_a_ones_count():
 def test_chain_mismatch_is_detected(monkeypatch):
     import dspkit.catalog as cat
 
-    monkeypatch.setitem(cat.FAMILIES, "W", dataclasses.replace(
-        cat.FAMILIES["W"], succ=lambda k: cat.SeriesId("S", k)))
+    monkeypatch.setitem(cat.FAMILIES, "W", cat.FAMILIES["W"]._replace(
+        succ=lambda k: cat.SeriesId("S", k)))
     with pytest.raises(ChainMismatchError, match=r"^W_1: step 1 is .*, expected S_1 = "):
         verify_chain("W_1")
 
@@ -217,8 +216,8 @@ def test_verify_chain_rejects_a_non_rigid_instance(monkeypatch):
     import dspkit.catalog as cat
 
     # W_1 becomes (2,1,1);(2,1,1);(1,1,1,1), of defect 0; its trace is never compared
-    monkeypatch.setitem(cat.FAMILIES, "W", dataclasses.replace(
-        cat.FAMILIES["W"], build=lambda k: [[k, k, k + 1]] * 2 + [[1] * (3 * k + 1)]))
+    monkeypatch.setitem(cat.FAMILIES, "W", cat.FAMILIES["W"]._replace(
+        build=lambda k: [[k, k, k + 1]] * 2 + [[1] * (3 * k + 1)]))
     with pytest.raises(ChainMismatchError, match=r"^W_1: defect is 0, not 2$"):
         verify_chain("W_1")
 

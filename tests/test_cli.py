@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -437,8 +436,8 @@ def test_catalog_verify(capsys, monkeypatch):
     assert payload["all_ok"] is True
     assert payload["families"]["W"]["ok"] == payload["families"]["W"]["instances"]
     # a broken chain is reported and exits 1
-    monkeypatch.setitem(cat.FAMILIES, "W", dataclasses.replace(
-        cat.FAMILIES["W"], succ=lambda k: cat.SeriesId("S", k)))
+    monkeypatch.setitem(cat.FAMILIES, "W", cat.FAMILIES["W"]._replace(
+        succ=lambda k: cat.SeriesId("S", k)))
     code, out, _ = run(capsys, *args)
     assert code == 1
     payload = json.loads(out)
@@ -467,8 +466,8 @@ def test_an_undefined_chain_step_exits_1(capsys, monkeypatch):
     import dspkit.catalog as cat
 
     # an extra scalar entry keeps W_1's defect at 2, but the step is not defined on it
-    monkeypatch.setitem(cat.FAMILIES, "W", dataclasses.replace(
-        cat.FAMILIES["W"], build=lambda k: [[k, k, k + 1]] * 3 + [[3 * k + 1]]))
+    monkeypatch.setitem(cat.FAMILIES, "W", cat.FAMILIES["W"]._replace(
+        build=lambda k: [[k, k, k + 1]] * 3 + [[3 * k + 1]]))
     code, _, err = run(capsys, "chain", "W_1")
     assert code == 1 and err.startswith("error: W_1: step 1 is undefined")
     code, out, _ = run(capsys, "catalog-verify", "--max-n", "12", "--chains", "--json")
@@ -478,8 +477,8 @@ def test_an_undefined_chain_step_exits_1(capsys, monkeypatch):
 def test_a_successor_outside_the_catalog_exits_1(capsys, monkeypatch):
     import dspkit.catalog as cat
 
-    monkeypatch.setitem(cat.FAMILIES, "W", dataclasses.replace(
-        cat.FAMILIES["W"], succ=lambda k: cat.SeriesId("B", 0)))
+    monkeypatch.setitem(cat.FAMILIES, "W", cat.FAMILIES["W"]._replace(
+        succ=lambda k: cat.SeriesId("B", 0)))
     code, _, err = run(capsys, "chain", "W_1")
     assert code == 1 and err.startswith("error: W_1: bad successor B_0")
     code, out, _ = run(capsys, "catalog-verify", "--max-n", "12", "--chains", "--json")

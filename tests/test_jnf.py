@@ -3,7 +3,10 @@ import pytest
 from dspkit import (
     Jnf,
     JnfTuple,
+    Partition,
+    Reason,
     ResourceLimitError,
+    Verdict,
     corresponding_diagonal,
     diagonalized,
     dual,
@@ -85,6 +88,34 @@ def test_oracle_matches_d_small():
     for n in range(1, 5):
         for j in all_jnfs(n):
             assert j.d == j.n * j.n - centralizer_dim_oracle(j)
+
+
+def test_shapes_compare_by_their_one_field_and_are_immutable():
+    p = Partition((2, 1))
+    j = Jnf.from_blocks([[1, 1], [2], [1, 1, 1], [3]])
+    t = JnfTuple.from_pmv([(1, 1), (2,)])
+    assert p == Partition([2, 1]) and hash(p) == hash(((2, 1),))
+    assert hash(j) == hash((j.slots,)) and hash(t) == hash((t.entries,))
+    assert Partition((1,)) != (1,) and j != j.slots and t != t.entries
+    with pytest.raises(TypeError):
+        Partition((1,)) < (1,)
+    # slots are sorted descending by their parts; shapes order by their slots
+    assert [s.parts for s in j.slots] == [(3,), (2,), (1, 1, 1), (1, 1)]
+    assert sorted([Jnf.from_blocks([[2]]), mv(2), mv(1, 1)]) == [
+        mv(1, 1), mv(2), Jnf.from_blocks([[2]])]
+    assert Partition() < Partition((1,)) <= Partition((1, 1)) and mv(2) >= mv(1, 1) < mv(1, 1, 1)
+    assert repr(p) == "Partition(parts=(2, 1))"
+    assert repr(t) == ("JnfTuple(entries=(Jnf(slots=(Partition(parts=(1,)), Partition(parts=(1,)))), "
+                       "Jnf(slots=(Partition(parts=(1, 1)),))))")
+    for value, field in ((p, "parts"), (p, "size"), (j, "slots"), (j, "n"), (t, "entries")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    # the result records are named tuples: they unpack to, and equal, their fields
+    v = Verdict(True, Reason.OMEGA_HOLDS, 0)
+    solvable, reason, at_step = v
+    assert v == (solvable, reason, at_step) == (True, Reason.OMEGA_HOLDS, 0)
 
 
 def test_tuple_validation():

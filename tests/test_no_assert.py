@@ -24,3 +24,13 @@ def test_library_has_no_float():
                   or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == "float"]
         assert floats == [], f"{path.name}: float at lines {floats}"
+
+
+def test_library_has_no_dataclasses():
+    # importing dataclasses (with inspect) would cost every CLI process about 10 ms
+    for path, tree in _library_trees():
+        imports = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Import)
+                   and any(alias.name == "dataclasses" for alias in node.names)
+                   or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+        assert imports == [], f"{path.name}: dataclasses imported at lines {imports}"

@@ -86,7 +86,12 @@ def _newly_loaded(body: str) -> list[str]:
      ["cli", "errors", "genericity"]),
     (["decide", "(1,1);(1,1);(1,1)"],
      ["catalog", "cli", "errors", "jnf", "partitions", "reduction"]),
-], ids=["import", "help", "dual", "generic-gen", "generic-check", "decide"])
+    (["enum-rigid", "--n", "4", "--entries", "3"],
+     ["catalog", "cli", "errors", "jnf", "partitions", "reduction"]),
+    (["catalog-verify", "--max-n", "6"],
+     ["catalog", "cli", "errors", "jnf", "partitions", "reduction"]),
+], ids=["import", "help", "dual", "generic-gen", "generic-check", "decide", "enum-rigid",
+        "catalog-verify"])
 def test_start_up_loads_only_what_the_command_runs(argv, submodules):
     body = "import dspkit" if argv is None else _MAIN.format(argv=argv)
     loaded = _newly_loaded(body)
@@ -94,6 +99,5 @@ def test_start_up_loads_only_what_the_command_runs(argv, submodules):
     if argv is not None and argv[0] == "decide":
         # the decision path uses no rational arithmetic
         assert "fractions" not in loaded and "decimal" not in loaded
-    if argv is not None and argv[0] == "generic-check":
-        # the genericity value records are written out, not frozen dataclasses
-        assert "dataclasses" not in loaded and "inspect" not in loaded
+    # the value types and records are written out or named tuples, not dataclasses
+    assert "dataclasses" not in loaded and "inspect" not in loaded
