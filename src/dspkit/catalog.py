@@ -10,6 +10,7 @@ in traces and in enumerator output.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -84,7 +85,9 @@ def parse_series_id(text: str) -> SeriesId:
 
 
 class _Family(NamedTuple):
-    n_of: Callable[[int], int]  # increasing in the parameter
+    # strictly increasing in the parameter, with n_of(1) >= 1, so the size-n member's
+    # parameter lies in 0..n: the per-size index finds it there by bisection
+    n_of: Callable[[int], int]
     ok: Callable[[int], bool]
     build: Callable[[int], list[list[int]]]
     # the next instance in the reduction chain, asked only of instances of size > 1; an
@@ -300,8 +303,10 @@ _Vectors = tuple[tuple[int, ...], ...]
 def _names_by_pmv(n: int) -> dict[_Vectors, tuple[str, ...]]:
     """Sorted names of the size-``n`` catalog instances, keyed by canonical vectors."""
     index: dict[_Vectors, list[str]] = {}
-    for sid in all_series_ids(n):
-        if FAMILIES[sid.name].n_of(sid.param) == n:
+    for name, fam in FAMILIES.items():
+        param = bisect.bisect_left(range(n + 1), n, key=fam.n_of)
+        if param <= n and fam.n_of(param) == n and fam.ok(param):
+            sid = SeriesId(name, param)
             index.setdefault(tuple(mv.parts for mv in series_mvs(sid)), []).append(str(sid))
     return {key: tuple(sorted(names)) for key, names in index.items()}
 

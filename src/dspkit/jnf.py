@@ -7,12 +7,15 @@ multiplicity vector (one part per eigenvalue).
 
 Shapes are immutable and may be shared: ``Jnf.diagonal`` reuses one all-ones
 slot per multiplicity, and the reduction step reuses the shapes it has already
-built.  Never mutate a ``Partition`` or ``Jnf`` with ``object.__setattr__``.
+built.  A ``Jnf`` fills its multiplicity vector, text and hash into slots on first
+use, so a shape that is never printed or hashed never pays for them.  Never mutate
+a ``Partition`` or ``Jnf`` with ``object.__setattr__``.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import require_key
@@ -36,27 +39,37 @@ class Jnf(_Frozen):
     ``is_diagonal``, computed on construction.
     """
 
-    # __dict__ holds the cached _mv
-    __slots__ = ("slots", "n", "r", "d", "is_diagonal", "__dict__")
+    # _mv, _text and _hash are filled on first use; until then reading one raises AttributeError
+    __slots__ = ("slots", "n", "r", "d", "is_diagonal", "_mv", "_text", "_hash")
 
     def __init__(self, slots: tuple[Partition, ...]) -> None:
-        slots = tuple(sorted(slots, reverse=True))
+        slots = tuple(sorted(slots, key=attrgetter("parts"), reverse=True))
         object.__setattr__(self, "slots", slots)
         if not slots:
             raise ValueError("a Jordan shape needs at least one eigenvalue slot")
-        if any(not s.parts for s in slots):
-            raise ValueError("every eigenvalue slot must carry at least one block")
         # n, r, d and is_diagonal are read for every state of a decision, so they
-        # are computed once, as plain attributes: equality, hashing and ordering
-        # see only the slots.  r is n minus the maximal block count of one slot.
-        # d is n^2 minus the centralizer dimension, the sum over slots of the
-        # squared conjugate parts, which is sum((2i+1) * p_i) with i from 0.
-        n = sum(s.size for s in slots)
+        # are computed once, in one pass, as plain attributes: equality, hashing and
+        # ordering see only the slots.  r is n minus the maximal block count of one
+        # slot.  d is n^2 minus the centralizer dimension, the sum over slots of the
+        # squared conjugate parts, which is sum((2i+1) * p_i) with i from 0: m^2 for
+        # an all-ones slot of multiplicity m.
+        n = centralizer = most = 0
+        diagonal = True
+        for s in slots:
+            parts = s.parts
+            if not parts:
+                raise ValueError("every eigenvalue slot must carry at least one block")
+            n += s.size
+            most = max(most, len(parts))
+            if parts[0] == 1:
+                centralizer += len(parts) ** 2
+            else:
+                diagonal = False
+                centralizer += sum((2 * i + 1) * p for i, p in enumerate(parts))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", n - max(len(s.parts) for s in slots))
-        object.__setattr__(self, "d", n * n - sum(
-            (2 * i + 1) * p for s in slots for i, p in enumerate(s.parts)))
-        object.__setattr__(self, "is_diagonal", all(s.parts[0] == 1 for s in slots))
+        object.__setattr__(self, "r", n - most)
+        object.__setattr__(self, "d", n * n - centralizer)
+        object.__setattr__(self, "is_diagonal", diagonal)
 
     def __repr__(self) -> str:
         return f"Jnf(slots={self.slots!r})"
@@ -67,7 +80,12 @@ class Jnf(_Frozen):
         return self.slots == other.slots
 
     def __hash__(self) -> int:
-        return hash((self.slots,))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.slots,))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
@@ -100,14 +118,15 @@ class Jnf(_Frozen):
         mv = mv if isinstance(mv, Partition) else normalize(mv)
         return cls(tuple(_ones(m) for m in mv.parts))
 
-    @cached_property
-    def _mv(self) -> Partition:
-        return Partition(tuple(len(s.parts) for s in self.slots))
-
     def multiplicity_vector(self) -> Partition:
         if not self.is_diagonal:
             raise ValueError("only diagonal shapes have a multiplicity vector")
-        return self._mv
+        try:
+            return self._mv
+        except AttributeError:
+            mv = Partition(tuple(len(s.parts) for s in self.slots))
+            object.__setattr__(self, "_mv", mv)
+            return mv
 
     def eigenvalue_multiplicities(self) -> tuple[int, ...]:
         """Total size per eigenvalue slot, in canonical slot order."""
@@ -118,9 +137,13 @@ class Jnf(_Frozen):
         return self.r == 0
 
     def __str__(self) -> str:
-        if self.is_diagonal:
-            return str(self.multiplicity_vector())
-        return "{" + ",".join(str(s) for s in self.slots) + "}"
+        try:
+            return self._text
+        except AttributeError:
+            text = (str(self.multiplicity_vector()) if self.is_diagonal
+                    else "{" + ",".join(str(s) for s in self.slots) + "}")
+            object.__setattr__(self, "_text", text)
+            return text
 
 
 def corresponding_diagonal(j: Jnf) -> Partition:

@@ -11,6 +11,9 @@ For a tuple of class shapes of size n the three conditions are
 scalar entries, stops with a verdict when omega holds, when the size reaches 1,
 or when beta fails, and otherwise applies one reduction step, shrinking n to
 n1 = sum(r_j) - n.  The quantity 2n^2 - sum(d_j) is invariant along the way.
+``decide`` checks the conditions once per step and passes that report on to the
+step itself; ``psi_step``, the step for outside callers, keeps its contract: it
+checks every precondition and raises ``PreconditionError`` when one fails.
 
 Reduction chains share long suffixes, so the per-entry cut of ``psi_step`` is
 memoized: the shapes in the tuples that ``psi_step`` and ``decide`` return may
@@ -30,7 +33,7 @@ from .partitions import normalize
 #: Bound on the memoized per-entry cuts, chosen by measurement: a `decide --file`
 #: of 500 mixed random and catalog lines (perfbench's `batch`, seed 7919) makes
 #: 5,528 cuts of 957 distinct (entry, slot, k) triples; deciding and naming its
-#: lines in process took 0.118 s with the cache and 0.211 s without (medians of
+#: lines in process took 0.144 s with the cache and 0.201 s without (medians of
 #: 12 alternating runs, Python 3.11, 2 cores).
 _CUT_CACHE_SIZE = 1024
 
@@ -113,8 +116,12 @@ def psi_step(t: JnfTuple) -> JnfTuple:
         raise PreconditionError("omega holds; the reduction step is not defined")
     if not rep.beta:
         raise PreconditionError("beta fails; the reduction step is not defined")
-    n1 = n + rep.omega_slack  # = sum(r_j) - n
-    k = n - n1
+    return _step(t, rep)
+
+
+def _step(t: JnfTuple, rep: ConditionReport) -> JnfTuple:
+    """``psi_step`` of ``t`` given its report, with the preconditions already checked."""
+    k = -rep.omega_slack  # n - n1, with n1 = sum(r_j) - n
     new_entries = []
     for e in t.entries:
         max_count = e.n - e.r
@@ -184,7 +191,7 @@ def decide(t: JnfTuple) -> ReductionTrace:
             break
         n1 = n + rep.omega_slack
         steps.append(TraceStep(cur, rep, n, n1, scalars))
-        cur = psi_step(cur)
+        cur = _step(cur, rep)
     return ReductionTrace(tuple(steps), verdict)
 
 

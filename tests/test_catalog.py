@@ -28,7 +28,7 @@ from dspkit import (
     verify_chain,
     verify_step,
 )
-from dspkit.catalog import FAMILIES, SeriesId, series_mvs
+from dspkit.catalog import FAMILIES, SeriesId, _names_by_pmv, series_mvs
 from helpers import case_omega, partitions_of, reduces_to_simple_root, scan_rigid
 
 
@@ -149,6 +149,48 @@ def test_identify_matches_brute_force():
         assert identify(reversed_t) == want, sid
         # the vector path of enum-rigid output reads the same index
         assert catalog_lines([key])[0]["series_names"] == want, sid
+
+
+def test_size_maps_are_strictly_increasing():
+    # the premise of the per-size index's bisection: the size-n member's parameter
+    # is the only one in 0..n with that size
+    for name, fam in FAMILIES.items():
+        sizes = [fam.n_of(param) for param in range(201)]
+        assert all(a < b for a, b in zip(sizes, sizes[1:])), name
+        assert sizes[1] >= 1, name
+
+
+def test_names_by_pmv_matches_a_scan_of_all_series_ids():
+    for n in range(1, 201):
+        want: dict = {}
+        for sid in all_series_ids(n):
+            if FAMILIES[sid.name].n_of(sid.param) == n:
+                want.setdefault(tuple(mv.parts for mv in series_mvs(sid)), []).append(str(sid))
+        assert _names_by_pmv(n) == {key: tuple(sorted(names)) for key, names in want.items()}, n
+
+
+def test_names_by_pmv_bisects_each_family(monkeypatch):
+    import dspkit.catalog as cat
+
+    calls = 0
+
+    def counted(n_of):
+        def wrapper(param):
+            nonlocal calls
+            calls += 1
+            return n_of(param)
+        return wrapper
+
+    for name, fam in FAMILIES.items():
+        monkeypatch.setitem(cat.FAMILIES, name, fam._replace(n_of=counted(fam.n_of)))
+    _names_by_pmv.cache_clear()
+    try:
+        index = _names_by_pmv(400)
+    finally:
+        _names_by_pmv.cache_clear()
+    assert index[tuple(mv.parts for mv in series_mvs(SeriesId("HG", 400)))] == ("HG_400",)
+    # at most 9 probes to bisect 0..400, one to test the hit, one in series_mvs
+    assert calls <= len(FAMILIES) * ((400).bit_length() + 2)
 
 
 def test_all_series_ids_counts():

@@ -83,6 +83,59 @@ def test_decide_batch_file_bad_line_continues(tmp_path, capsys):
     assert lines[3]["verdict"]["reason"] == "AlphaFails"
 
 
+def _pinned_batch() -> list[str]:
+    """A fixed ``decide --file`` input: hand-picked verdicts, seeded random diagonal
+    and Jordan lines, catalog instances with shuffled entries, one malformed line."""
+    rng = random.Random(19)
+
+    def parts(n):
+        out = []
+        while n:
+            out.append(rng.randint(1, n))
+            n -= out[-1]
+        return out  # left unsorted: the reader normalizes
+
+    def text(mvs):
+        return json.dumps(";".join("(" + ",".join(map(str, mv)) + ")" for mv in mvs))
+
+    lines = [text(mvs) for mvs in (
+        [[1], [1]], [[2, 1], [1, 1, 1], [1, 1, 1]], [[4, 4], [4, 4], [7, 1]],
+        [[3, 2, 1, 1, 1, 1], [4, 4, 1], [4, 4, 1]], [[2], [1, 1], [1, 1]],
+        [[3], [2, 1], [1, 1, 1]], [[1, 1, 1]] * 3)]
+    lines += [text([parts(n) for _ in range(rng.randint(3, 5))])
+              for n in (rng.randint(2, 24) for _ in range(30))]
+    lines += [json.dumps({"n": n, "entries": [{"eigenvalues": [parts(s) for s in parts(n)]}
+                                              for _ in range(rng.randint(3, 4))]})
+              for n in (rng.randint(2, 12) for _ in range(15))]
+    for name in ("W_4", "HG_9", "Lambda_12", "T_3", "Star_5", "Psi6", "Xi_10", "OG_4",
+                 "Gamma1_10", "Z2_9", "R_5", "P_3"):
+        mvs = [list(mv) for mv in series(name).pmv()]
+        rng.shuffle(mvs)
+        lines.append(text(mvs))
+    lines.insert(20, '"(2,2;(3)"')
+    return lines
+
+
+def test_decide_batch_file_is_byte_stable(tmp_path, capsys):
+    path = tmp_path / "batch.jsonl"
+    path.write_text("\n".join(_pinned_batch()) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "decide", "--file", str(path))
+    assert code == 2
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "24fc3f240fcc0beca9fc71d45dc6e6475e921fa16ca213bd85884e004a575584")
+
+
+def test_trace_jordan_json_is_byte_stable(capsys):
+    # four steps through Jordan states, with the scalar third entry dropped
+    blob = json.dumps({"n": 5, "entries": [
+        {"eigenvalues": [[2, 1], [1, 1]]}, {"eigenvalues": [[3, 1], [1]]},
+        {"eigenvalues": [[1, 1, 1, 1, 1]]}, {"eigenvalues": [[1, 1, 1], [1], [1]]}]})
+    code, out, _ = run(capsys, "trace", "--jnf", blob, "--json")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "1aec2e1501116c0ab02882165a0d43809a7e496f2e6aab982eb466c0e1c6bccb")
+
+
 def test_decide_tuple_with_file_exits_2(tmp_path, capsys):
     path = tmp_path / "batch.jsonl"
     path.write_text('"(2,1);(1,1,1);(1,1,1)"\n', encoding="utf-8")

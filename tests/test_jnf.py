@@ -118,6 +118,32 @@ def test_shapes_compare_by_their_one_field_and_are_immutable():
     assert v == (solvable, reason, at_step) == (True, Reason.OMEGA_HOLDS, 0)
 
 
+def test_lazily_filled_fields_are_stable_and_frozen():
+    # text, multiplicity vector and hash are filled on first use; equal shapes built
+    # apart (interned all-ones slots or not) agree on them, before and after
+    for blocks in ([[1, 1, 1], [1, 1], [1]], [[2, 1], [1, 1], [3]], [[1]]):
+        a, b = Jnf.from_blocks(blocks), Jnf.from_blocks(blocks)
+        for name in ("_mv", "_text", "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+        text, h = str(a), hash(a)
+        assert (str(a), hash(a)) == (text, h) == (str(b), hash(b))
+        assert h == hash((a.slots,))
+        if a.is_diagonal:
+            c = Jnf.diagonal([len(s.parts) for s in a.slots])
+            assert (str(c), hash(c)) == (text, h) and c == a
+            vector = a.multiplicity_vector()
+            assert a.multiplicity_vector() is vector
+            assert b.multiplicity_vector() == vector == c.multiplicity_vector()
+        for name in ("_mv", "_text", "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert not hasattr(a, "__dict__")
+        assert (str(a), hash(a)) == (text, h)
+
+
 def test_tuple_validation():
     with pytest.raises(ValueError):
         JnfTuple((mv(2, 1),))

@@ -34,3 +34,13 @@ def test_library_has_no_dataclasses():
                    and any(alias.name == "dataclasses" for alias in node.names)
                    or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
         assert imports == [], f"{path.name}: dataclasses imported at lines {imports}"
+
+
+def test_library_has_no_cached_property():
+    # its __get__ runs in Python, under a lock, on every read; shapes fill slots instead
+    for path, tree in _library_trees():
+        uses = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "cached_property"
+                or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+                or isinstance(node, ast.alias) and node.name == "cached_property"]
+        assert uses == [], f"{path.name}: cached_property at lines {uses}"

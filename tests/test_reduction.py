@@ -67,14 +67,38 @@ def test_psi_step_block_rule():
 
 
 def test_psi_step_preconditions():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="size 1"):
         psi_step(parse_pmv("(1);(1)"))
     # omega holds here
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="omega holds"):
         psi_step(parse_pmv("(1,1,1);(1,1,1);(1,1,1)"))
     # scalar entry present
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="scalar entries"):
         psi_step(parse_pmv("(2);(1,1);(1,1)"))
+    # each entry's partner has rank 1 < n = 2
+    with pytest.raises(PreconditionError, match="beta fails"):
+        psi_step(parse_pmv("(1,1);(1,1)"))
+
+
+def test_decide_checks_each_step_once(monkeypatch):
+    calls = 0
+    check = dspkit.reduction.check_conditions
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return check(t)
+
+    monkeypatch.setattr(dspkit.reduction, "check_conditions", counted)
+    rng = random.Random(19)
+    tuples = [random_jnf_tuple(rng, rng.randint(2, 12), rng.randint(3, 4)) for _ in range(100)]
+    tuples += [JnfTuple.from_pmv(random_pmv(rng, rng.randint(2, 30), rng.randint(3, 5)))
+               for _ in range(100)]
+    tuples += [series(sid) for sid in all_series_ids(24)]
+    for t in tuples:
+        calls = 0
+        trace = decide(t)
+        assert calls == len(trace.steps), t
 
 
 def test_decide_w_series_chain():
