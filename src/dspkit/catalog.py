@@ -31,6 +31,12 @@ DEFAULT_MAX_ENUM_N = 40
 #: scalar: 57 s / 102 MB RSS for triples at n=34, 282 s / 26 MB for 6 entries at n=40.
 DEFAULT_MAX_ENUM_NODES = 1_000_000
 MAX_ENUM_ENTRIES = 6
+#: Bound on the cached per-size name indexes, chosen by measurement: perfbench's
+#: `batch` (seed 5) names states of 40 sizes, which 64 keeps (40 builds, 2,048 hits;
+#: 0.09-0.13 s to decide and name its lines in process) and 32 does not (350 builds,
+#: 0.26-0.31 s).  Naming the chain of HG_800 builds 800 indexes: peak RSS 78 MB
+#: unbounded, 30 MB with the bound (Python 3.11, 2 cores).
+_NAMES_CACHE_SIZE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +305,7 @@ def all_series_ids(max_n: int) -> Iterator[SeriesId]:
 _Vectors = tuple[tuple[int, ...], ...]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_NAMES_CACHE_SIZE)
 def _names_by_pmv(n: int) -> dict[_Vectors, tuple[str, ...]]:
     """Sorted names of the size-``n`` catalog instances, keyed by canonical vectors."""
     index: dict[_Vectors, list[str]] = {}
@@ -391,10 +397,17 @@ def _children(parent: _Vectors, max_n: int, u: int) -> set[_Vectors]:
     part x_j (or on a new part, x_j = 0), and x_j + k must be a largest part."""
     n1 = sum(parent[0])
     base = (len(parent) - 2) * n1
-    # per entry: each distinct part x (0 for none) -> what is left of the entry without it
-    left = [{0: mv, **{x: mv[:i] + mv[i + 1:]
-                       for i, x in enumerate(mv) if not i or mv[i - 1] != x}}
-            for mv in parent]
+    # 1 <= k <= kmax, so x_j + k can be a largest part only for x_j >= mv[0] - kmax,
+    # and a new part only when mv[0] <= kmax
+    kmax = min(max_n - n1, u)
+    # per entry: each such distinct part x (0 for none) -> what is left of the entry without it
+    left = []
+    for mv in parent:
+        low = mv[0] - kmax
+        choices = {0: mv} if low <= 0 else {}
+        choices.update((x, mv[:i] + mv[i + 1:]) for i, x in enumerate(mv)
+                       if x >= low and (not i or mv[i - 1] != x))
+        left.append(choices)
     out = set()
     for xs in itertools.product(*left):
         k = base - sum(xs)

@@ -59,18 +59,21 @@ def _tuple_from_args(args):
     return t
 
 
-def _decide_payload(t, catalog, reduction):
+def _decide(t, catalog, reduction):
     trace = reduction.decide(t)
-    payload = reduction.trace_to_dict(trace)
-    payload["defect"] = catalog.defect(t)
-    payload["chain"] = [catalog.identify(s.state) for s in trace.steps]
-    return payload, trace
+    return trace, [catalog.identify(s.state) for s in trace.steps]
 
 
-def _print_verdict(payload: dict) -> None:
-    v = payload["verdict"]
-    word = "Solvable" if v["solvable"] else "NotSolvable"
-    print(f"verdict: {word} ({v['reason']}) at step {v['at_step']}")
+def _decide_json(t, trace, chain, catalog, reduction) -> str:
+    """The decide/trace JSON line: ``chain`` and ``defect``, then the trace's own
+    keys, written after them in sorted order by ``reduction.trace_json``."""
+    return ('{"chain":' + json.dumps(chain, separators=(",", ":"))
+            + f',"defect":{catalog.defect(t)},' + reduction.trace_json(trace)[1:])
+
+
+def _print_verdict(v) -> None:
+    word = "Solvable" if v.solvable else "NotSolvable"
+    print(f"verdict: {word} ({v.reason.value}) at step {v.at_step}")
 
 
 def _cmd_decide(args) -> int:
@@ -95,17 +98,18 @@ def _cmd_decide(args) -> int:
                     _emit_json({"line": number, "error": str(exc)})
                     bad = True
                     continue
-                _emit_json(_decide_payload(t, catalog, reduction)[0])
+                trace, chain = _decide(t, catalog, reduction)
+                print(_decide_json(t, trace, chain, catalog, reduction))
         return EXIT_USAGE if bad else EXIT_OK
     t = _tuple_from_args(args)
-    payload, trace = _decide_payload(t, catalog, reduction)
+    trace, chain = _decide(t, catalog, reduction)
     if args.json:
-        _emit_json(payload)
+        print(_decide_json(t, trace, chain, catalog, reduction))
         return EXIT_OK
-    _print_verdict(payload)
-    print(f"defect: {payload['defect']}")
+    _print_verdict(trace.verdict)
+    print(f"defect: {catalog.defect(t)}")
     labels = []
-    for names, step in zip(payload["chain"], trace.steps):
+    for names, step in zip(chain, trace.steps):
         labels.append("=".join(names) if names else str(step.state))
     print("chain: " + " -> ".join(labels))
     return EXIT_OK
@@ -115,14 +119,14 @@ def _cmd_trace(args) -> int:
     from . import catalog, reduction
 
     t = _tuple_from_args(args)
-    payload, _ = _decide_payload(t, catalog, reduction)
+    trace, chain = _decide(t, catalog, reduction)
     if args.json:
-        _emit_json(payload)
+        print(_decide_json(t, trace, chain, catalog, reduction))
         return EXIT_OK
-    _print_verdict(payload)
-    for i, step in enumerate(payload["steps"]):
+    _print_verdict(trace.verdict)
+    for i, step in enumerate(reduction.trace_to_dict(trace)["steps"]):
         state = step.get("pmv") or json.dumps(step["state"], sort_keys=True)
-        names = payload["chain"][i]
+        names = chain[i]
         tag = f"  [{'='.join(names)}]" if names else ""
         print(f"step {i}: n={step['n']} {state}{tag}")
         if step["dropped"]:

@@ -10,10 +10,15 @@ slot per multiplicity, and the reduction step reuses the shapes it has already
 built.  A ``Jnf`` fills its multiplicity vector, text and hash into slots on first
 use, so a shape that is never printed or hashed never pays for them.  Never mutate
 a ``Partition`` or ``Jnf`` with ``object.__setattr__``.
+
+``jnf_tuple_json`` writes a tuple's compact JSON text directly, joining each
+slot's cached ``[a,b,...]`` text; it is the one definition of the JSON form, and
+the ``*_to_dict`` functions parse its output.
 """
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable
@@ -30,6 +35,12 @@ _ONES_CACHE_SIZE = 256
 @lru_cache(maxsize=_ONES_CACHE_SIZE)
 def _ones(m: int) -> Partition:
     return Partition((1,) * m)
+
+
+@lru_cache(maxsize=_ONES_CACHE_SIZE)
+def _slot_json(parts: tuple[int, ...]) -> str:
+    # the states of a batch share their all-ones slots, so a few hundred texts cover it
+    return "[" + ",".join(map(str, parts)) + "]"
 
 
 class Jnf(_Frozen):
@@ -208,8 +219,17 @@ def parse_pmv(text: str) -> JnfTuple:
     return JnfTuple.from_pmv([normalize(parse_parts(seg)) for seg in segments])
 
 
+def _jnf_json(j: Jnf) -> str:
+    return '{"eigenvalues":[' + ",".join([_slot_json(s.parts) for s in j.slots]) + "]}"
+
+
+def jnf_tuple_json(t: JnfTuple) -> str:
+    """``t`` as compact JSON text with sorted keys: ``{"entries":[...],"n":...}``."""
+    return '{"entries":[' + ",".join([_jnf_json(e) for e in t.entries]) + f'],"n":{t.n}}}'
+
+
 def jnf_to_dict(j: Jnf) -> dict:
-    return {"eigenvalues": [list(s.parts) for s in j.slots]}
+    return json.loads(_jnf_json(j))
 
 
 def jnf_from_dict(data: dict) -> Jnf:
@@ -217,7 +237,7 @@ def jnf_from_dict(data: dict) -> Jnf:
 
 
 def jnf_tuple_to_dict(t: JnfTuple) -> dict:
-    return {"n": t.n, "entries": [jnf_to_dict(e) for e in t.entries]}
+    return json.loads(jnf_tuple_json(t))
 
 
 def jnf_tuple_from_dict(data: dict) -> JnfTuple:

@@ -18,16 +18,21 @@ checks every precondition and raises ``PreconditionError`` when one fails.
 Reduction chains share long suffixes, so the per-entry cut of ``psi_step`` is
 memoized: the shapes in the tuples that ``psi_step`` and ``decide`` return may
 be shared objects.  They are immutable; never mutate them.
+
+``trace_json`` writes a trace's compact, sorted-key JSON text directly, ints,
+booleans and ``null`` inline and each state through ``jnf_tuple_json``; it is the
+one definition of the trace schema, and ``trace_to_dict`` parses its output.
 """
 
 from __future__ import annotations
 
+import json
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .jnf import Jnf, JnfTuple, jnf_tuple_to_dict
+from .jnf import Jnf, JnfTuple, jnf_tuple_json
 from .partitions import normalize
 
 #: Bound on the memoized per-entry cuts, chosen by measurement: a `decide --file`
@@ -243,28 +248,36 @@ def solvable_pmv(mvs: Sequence[Sequence[int]]) -> bool:
         n = n1
 
 
-def trace_to_dict(trace: ReductionTrace) -> dict:
-    """Stable JSON-ready form of a trace."""
+_JSON_BOOL = ("false", "true")
+
+
+def trace_json(trace: ReductionTrace) -> str:
+    """The trace as compact JSON text with sorted keys, ``{"steps":[...],"verdict":{...}}``.
+
+    Each step holds its size ``n``, the next size ``n1`` (``null`` at the last step),
+    the ``dropped`` scalar entries, the ``state``, the three condition reports, and
+    ``pmv``, the state's vector text, when it is diagonal.  That text and the
+    reason names are digits and ASCII punctuation or letters: nothing to escape.
+    """
     steps = []
     for step in trace.steps:
         rep = step.report
-        entry = {
-            "n": step.n,
-            "n1": step.n1,
-            "dropped": list(step.dropped_scalar_indices),
-            "state": jnf_tuple_to_dict(step.state),
-            "alpha": {"holds": rep.alpha, "slack": rep.alpha_slack},
-            "beta": {"holds": rep.beta, "margins": list(rep.beta_margins)},
-            "omega": {"holds": rep.omega, "slack": rep.omega_slack},
-        }
-        if step.state.is_diagonal:
-            entry["pmv"] = str(step.state)
-        steps.append(entry)
-    return {
-        "verdict": {
-            "solvable": trace.verdict.solvable,
-            "reason": trace.verdict.reason.value,
-            "at_step": trace.verdict.at_step,
-        },
-        "steps": steps,
-    }
+        state = step.state
+        pmv = f',"pmv":"{state}"' if state.is_diagonal else ""
+        n1 = "null" if step.n1 is None else step.n1
+        steps.append(
+            f'{{"alpha":{{"holds":{_JSON_BOOL[rep.alpha]},"slack":{rep.alpha_slack}}},'
+            f'"beta":{{"holds":{_JSON_BOOL[rep.beta]},'
+            f'"margins":[{",".join(map(str, rep.beta_margins))}]}},'
+            f'"dropped":[{",".join(map(str, step.dropped_scalar_indices))}],'
+            f'"n":{step.n},"n1":{n1},'
+            f'"omega":{{"holds":{_JSON_BOOL[rep.omega]},"slack":{rep.omega_slack}}}{pmv},'
+            f'"state":{jnf_tuple_json(state)}}}')
+    v = trace.verdict
+    return (f'{{"steps":[{",".join(steps)}],"verdict":{{"at_step":{v.at_step},'
+            f'"reason":"{v.reason.value}","solvable":{_JSON_BOOL[v.solvable]}}}}}')
+
+
+def trace_to_dict(trace: ReductionTrace) -> dict:
+    """Stable JSON-ready form of a trace: ``trace_json``'s text, parsed."""
+    return json.loads(trace_json(trace))

@@ -202,12 +202,66 @@ def reference_psi_step(blocks, pick=None):
     return out
 
 
+def trace_dict_oracle(trace) -> dict:
+    """A trace's JSON-ready dict, built field by field from the trace; the oracle
+    for ``reduction.trace_json``."""
+    steps = []
+    for step in trace.steps:
+        rep = step.report
+        entry = {
+            "n": step.n,
+            "n1": step.n1,
+            "dropped": list(step.dropped_scalar_indices),
+            "state": {"n": step.state.n,
+                      "entries": [{"eigenvalues": [list(s.parts) for s in e.slots]}
+                                  for e in step.state.entries]},
+            "alpha": {"holds": rep.alpha, "slack": rep.alpha_slack},
+            "beta": {"holds": rep.beta, "margins": list(rep.beta_margins)},
+            "omega": {"holds": rep.omega, "slack": rep.omega_slack},
+        }
+        if step.state.is_diagonal:
+            entry["pmv"] = str(step.state)
+        steps.append(entry)
+    return {
+        "verdict": {
+            "solvable": trace.verdict.solvable,
+            "reason": trace.verdict.reason.value,
+            "at_step": trace.verdict.at_step,
+        },
+        "steps": steps,
+    }
+
+
 def case_omega(n: int) -> JnfTuple:
     """The exceptional quadruple with defect 4 at even sizes."""
     if n < 4 or n % 2:
         raise ValueError("defined for even n >= 4")
     h = n // 2
     return JnfTuple.from_pmv([(2,) * h, (h, h), (h + 1, h - 1), (n - 1, 1)])
+
+
+def children_oracle(parent, max_n, u):
+    """``catalog._children`` without its bound on the part choices: every combination
+    of one part per entry (or a new part) is tried.  The oracle for the bound."""
+    n1 = sum(parent[0])
+    base = (len(parent) - 2) * n1
+    left = [{0: mv, **{x: mv[:i] + mv[i + 1:]
+                       for i, x in enumerate(mv) if not i or mv[i - 1] != x}}
+            for mv in parent]
+    out = set()
+    for xs in itertools.product(*left):
+        k = base - sum(xs)
+        if k < 1 or n1 + k > max_n or min(xs) + k > u:
+            continue
+        child = []
+        for x, rests in zip(xs, left):
+            rest = rests[x]
+            if rest and rest[0] > x + k:
+                break
+            child.append((x + k, *rest))
+        else:
+            out.add(tuple(sorted(child, reverse=True)))
+    return out
 
 
 def scan_rigid(n, entries, u=None, no_all_ones=False, no_scalar=False):

@@ -29,7 +29,13 @@ from dspkit import (
     verify_step,
 )
 from dspkit.catalog import FAMILIES, SeriesId, _names_by_pmv, series_mvs
-from helpers import case_omega, partitions_of, reduces_to_simple_root, scan_rigid
+from helpers import (
+    case_omega,
+    children_oracle,
+    partitions_of,
+    reduces_to_simple_root,
+    scan_rigid,
+)
 
 
 def mv_r(p):
@@ -193,6 +199,20 @@ def test_names_by_pmv_bisects_each_family(monkeypatch):
     assert calls <= len(FAMILIES) * ((400).bit_length() + 2)
 
 
+def test_names_by_pmv_keeps_a_bounded_number_of_indexes():
+    # naming a long chain visits one size per step; at most the bound stays cached
+    bound = _names_by_pmv.cache_info().maxsize
+    assert bound is not None and bound >= 40  # the sizes of a catalog batch up to n=40
+    _names_by_pmv.cache_clear()
+    try:
+        trace = decide(series("HG_200"))
+        assert [identify(step.state) for step in trace.steps][-1] == ["D_0", "HG_1", "H_0", "W_0"]
+        info = _names_by_pmv.cache_info()
+        assert info.misses == 200 and info.currsize == bound
+    finally:
+        _names_by_pmv.cache_clear()
+
+
 def test_all_series_ids_counts():
     assert [len(list(all_series_ids(m))) for m in (30, 40, 60)] == [553, 746, 1134]
 
@@ -297,6 +317,28 @@ def test_enumerate_matches_scan(entries, max_n):
                                       no_scalar=no_scalar)
                 want = scan_rigid(n, entries, u, no_all_ones, no_scalar)
                 assert got == want, (n, u, no_all_ones, no_scalar)
+
+
+def test_children_bound_drops_no_child(monkeypatch):
+    # the bounded part choices against every combination, at each node the walks expand
+    import dspkit.catalog as cat
+
+    bounded = cat._children
+    expanded = 0
+
+    def checked(parent, max_n, u):
+        nonlocal expanded
+        expanded += 1
+        got = bounded(parent, max_n, u)
+        assert got == children_oracle(parent, max_n, u), (parent, max_n, u)
+        return got
+
+    monkeypatch.setattr(cat, "_children", checked)
+    for entries, max_n in ((3, 14), (4, 10)):
+        for n in range(1, max_n + 1):
+            for u in (None, 1, 2, 3):
+                enumerate_rigid(n, entries, u=u)
+    assert expanded > 7000
 
 
 def test_enumerate_resource_guard():

@@ -136,6 +136,33 @@ def test_trace_jordan_json_is_byte_stable(capsys):
             == "1aec2e1501116c0ab02882165a0d43809a7e496f2e6aab982eb466c0e1c6bccb")
 
 
+_JORDAN = json.dumps({"n": 5, "entries": [
+    {"eigenvalues": [[2, 1], [1, 1]]}, {"eigenvalues": [[3, 1], [1]]},
+    {"eigenvalues": [[1, 1, 1, 1, 1]]}, {"eigenvalues": [[1, 1, 1], [1], [1]]}]})
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # Jordan states, the scalar third entry dropped at step 0
+    (["trace", "--jnf", _JORDAN],
+     "da50c1d69f1e99a1eee50653446e638f07c5820a2b018b306fd9b351c7adccd8"),
+    # E_3, a diagonal catalog instance named at every step
+    (["trace", "(3,3,3,2);(3,3,3,2);(6,5)"],
+     "a67be299dd4952054859d9adf92319978022bb1629885ca445944b8621da4401"),
+    (["decide", "--jnf", _JORDAN],
+     "8ba359c1e64bd75f0a9ccb3cead9f00d38a095392e6692d2776a080bc6f707ed"),
+    (["decide", "(3,3,3,2);(3,3,3,2);(6,5)"],
+     "00e53ba631c95a51cb5f50beaeafa812138ae2fad640277ef95d9b37a0182818"),
+    (["decide", "(4,4);(4,4);(7,1)"],
+     "026511aebe55499a67923bb21ff8787bc23b52f621c16972779039abcea1e59a"),
+    (["decide", "(1,1,1);(1,1,1);(1,1,1)"],
+     "f58b29f0852e5cd2dcc433966b6af04712dff57773e71746af8ee13af4f9c505"),
+])
+def test_text_output_is_byte_stable(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_decide_tuple_with_file_exits_2(tmp_path, capsys):
     path = tmp_path / "batch.jsonl"
     path.write_text('"(2,1);(1,1,1);(1,1,1)"\n', encoding="utf-8")

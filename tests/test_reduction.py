@@ -28,6 +28,7 @@ from helpers import (
     random_jnf_tuple,
     random_pmv,
     reference_psi_step,
+    trace_dict_oracle,
 )
 
 
@@ -231,7 +232,7 @@ def test_decide_traces_do_not_depend_on_cache_state():
     rng = random.Random(37)
     tuples = [random_jnf_tuple(rng, rng.randint(2, 12), rng.randint(2, 5)) for _ in range(300)]
     tuples += [series(sid) for sid in all_series_ids(24)]
-    caches = (dspkit.reduction._cut, dspkit.jnf._ones)
+    caches = (dspkit.reduction._cut, dspkit.jnf._ones, dspkit.jnf._slot_json)
 
     def dumped(t):
         return json.dumps(trace_to_dict(decide(t)), sort_keys=True)
@@ -247,8 +248,8 @@ def test_decide_traces_do_not_depend_on_cache_state():
 
 
 def test_step_and_slot_caches_stay_bounded():
-    cut, ones = dspkit.reduction._cut, dspkit.jnf._ones
-    for cache in (cut, ones):
+    cut, ones, slot_json = dspkit.reduction._cut, dspkit.jnf._ones, dspkit.jnf._slot_json
+    for cache in (cut, ones, slot_json):
         cache.cache_clear()
     rng = random.Random(41)
     seen = set()
@@ -259,10 +260,10 @@ def test_step_and_slot_caches_stay_bounded():
             t = JnfTuple.from_pmv(random_pmv(rng, rng.randint(2, 30), rng.randint(3, 5)))
         if t not in seen:
             seen.add(t)
-            decide(t)
+            dspkit.reduction.trace_json(decide(t))
     for m in range(1, 2 * ones.cache_info().maxsize):
-        Jnf.diagonal((m, 1))
-    for cache in (cut, ones):
+        dspkit.jnf.jnf_tuple_json(JnfTuple.from_pmv([(m, 1), (m, 1)]))
+    for cache in (cut, ones, slot_json):
         info = cache.cache_info()
         assert info.maxsize is not None and info.misses > info.maxsize
         assert info.currsize <= info.maxsize
@@ -271,6 +272,40 @@ def test_step_and_slot_caches_stay_bounded():
     a, b = Jnf.diagonal((3, 2)), Jnf.diagonal((3, 1, 1))
     assert a.slots[0] is b.slots[0]
     assert a.multiplicity_vector() is a.multiplicity_vector()
+
+
+def _writes_its_oracle(t):
+    trace = decide(t)
+    want = trace_dict_oracle(trace)
+    assert (dspkit.reduction.trace_json(trace)
+            == json.dumps(want, sort_keys=True, separators=(",", ":"))), t
+    assert trace_to_dict(trace) == want, t
+    return trace
+
+
+def test_trace_json_matches_the_dict_oracle():
+    for sid in all_series_ids(60):
+        _writes_its_oracle(series(sid))
+    rng = random.Random(43)
+    dropped = jordan = 0
+    for _ in range(300):
+        for t in (JnfTuple.from_pmv(random_pmv(rng, rng.randint(1, 30), rng.randint(2, 5))),
+                  random_jnf_tuple(rng, rng.randint(1, 12), rng.randint(2, 5))):
+            steps = _writes_its_oracle(t).steps
+            dropped += any(s.dropped_scalar_indices for s in steps)
+            jordan += any(not s.state.is_diagonal for s in steps)
+    assert dropped > 50 and jordan > 50
+    reasons = {_writes_its_oracle(parse_pmv(text)).verdict.reason for text in (
+        "(2,1);(1,1,1);(1,1,1)", "(4,4);(4,4);(7,1)", "(3,2,1,1,1,1);(4,4,1);(4,4,1)",
+        "(1,1,1);(1,1,1);(1,1,1)", "(3);(3);(2,1)")}
+    assert reasons == set(Reason)
+    # Jordan states carry no "pmv" key; the scalar third entry is dropped at step 0
+    t = JnfTuple((Jnf.from_blocks([[2, 1], [1, 1]]), Jnf.from_blocks([[3, 1], [1]]),
+                  Jnf.diagonal((5,)), Jnf.diagonal((3, 1, 1))))
+    steps = trace_to_dict(_writes_its_oracle(t))["steps"]
+    assert steps[0]["dropped"] == [2] and len(steps[0]["state"]["entries"]) == 3
+    assert ["pmv" in step for step in steps] == [False, False, True, True]
+    assert [step["n1"] for step in steps] == [3, 2, 1, None]
 
 
 def test_solvable_pmv_agrees_with_decide():
