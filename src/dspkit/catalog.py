@@ -5,7 +5,7 @@ reduction step backwards.
 A tuple is rigid when its defect 2n^2 - sum(d_j) equals 2.  The catalog holds one
 record per named family (its size map, parameter range, generator and successor in
 the reduction chain) and a per-size index on int vectors that names catalog members
-in traces and in enumerator output.
+in traces and in enumerator output, whose walk has one guard: ``MAX_ENUM_TRIES``.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ from .jnf import JnfTuple
 from .partitions import Partition, format_vectors, normalize
 from .reduction import psi_step, solvable_pmv
 
-#: Default guard for the enumerator (overridable, e.g. via DSPKIT_MAX_N).
-DEFAULT_MAX_ENUM_N = 40
-#: Budget of expanded tree nodes (not leaves or part choices per node).  Tripped with no
-#: scalar: 57 s / 102 MB RSS for triples at n=34, 282 s / 26 MB for 6 entries at n=40.
-DEFAULT_MAX_ENUM_NODES = 1_000_000
-MAX_ENUM_ENTRIES = 6
+#: The walk's one resource guard: part choices tried over all expanded nodes, which also
+#: bounds its stack and output.  The largest walks in perfbench and the tests try 13,828
+#: and 18,524.  Unconstrained, 2 runs in process under a 3 GB cap (Python 3.11, 2 cores),
+#: triples trip after 8.9-10.6 s / 50 MB peak RSS at n=40, 7.7-10.3 s / 31 MB at n=100,
+#: 5.5-8.1 s / 17 MB at n=10000, 9.2-11.0 s / 259 MB at n=10**30 (no leaves); 6 entries
+#: at n=40 after 8.2-9.1 s / 48 MB; 30 entries at once.
+MAX_ENUM_TRIES = 4_000_000
 #: Bound on the cached per-size name indexes, chosen by measurement: perfbench's
 #: `batch` (seed 5) names states of 40 sizes, which 64 keeps (40 builds, 2,048 hits;
 #: 0.09-0.13 s to decide and name its lines in process) and 32 does not (350 builds,
@@ -391,10 +392,11 @@ def verify_chain(sid: SeriesId | str) -> list[ChainStep]:
 # enumeration
 
 
-def _children(parent: _Vectors, max_n: int, u: int) -> set[_Vectors]:
+def _children(parent: _Vectors, max_n: int, u: int, spare: list[int]) -> set[_Vectors]:
     """Canonical tuples of size <= ``max_n``, with an entry of parts <= ``u``, that one
     reduction step takes to ``parent``: entry j gains k = (E-2)*n1 - sum(x_j) on one
-    part x_j (or on a new part, x_j = 0), and x_j + k must be a largest part."""
+    part x_j (or on a new part, x_j = 0), and x_j + k must be a largest part.  The node's
+    tries, the product of the choice counts, come out of ``spare[0]`` or raise past it."""
     n1 = sum(parent[0])
     base = (len(parent) - 2) * n1
     # 1 <= k <= kmax, so x_j + k can be a largest part only for x_j >= mv[0] - kmax,
@@ -402,12 +404,17 @@ def _children(parent: _Vectors, max_n: int, u: int) -> set[_Vectors]:
     kmax = min(max_n - n1, u)
     # per entry: each such distinct part x (0 for none) -> what is left of the entry without it
     left = []
+    tries = 1
     for mv in parent:
         low = mv[0] - kmax
         choices = {0: mv} if low <= 0 else {}
         choices.update((x, mv[:i] + mv[i + 1:]) for i, x in enumerate(mv)
                        if x >= low and (not i or mv[i - 1] != x))
         left.append(choices)
+        tries *= len(choices)
+        if tries > spare[0]:
+            raise ResourceLimitError(f"the walk to n={max_n} tries > {MAX_ENUM_TRIES} part choices")
+    spare[0] -= tries
     out = set()
     for xs in itertools.product(*left):
         k = base - sum(xs)
@@ -427,7 +434,7 @@ def _children(parent: _Vectors, max_n: int, u: int) -> set[_Vectors]:
 
 
 def enumerate_rigid(n: int, entries: int, *, u: int | None = None, no_all_ones: bool = False,
-                    no_scalar: bool = False, max_n: int | None = None) -> list[_Vectors]:
+                    no_scalar: bool = False) -> list[_Vectors]:
     """All solvable rigid diagonal tuples of size ``n`` with ``entries`` entries, up to
     entry permutation, as sorted canonical vectors: int tuples, parts and entries descending.
 
@@ -435,28 +442,21 @@ def enumerate_rigid(n: int, entries: int, *, u: int | None = None, no_all_ones: 
     tuples reduce step by step to (1);...;(1) and the step is deterministic, so they
     form a tree (Katz's algorithm run backwards) that the walk grows up to size ``n``,
     keeping scalar entries as (n).  The step never raises a part, so ``u`` prunes it.
-    Outputs are checked with ``solvable_pmv``.  ``ValueError`` for n < 1 or fewer than
-    two entries; ``ResourceLimitError`` past ``max_n``, ``MAX_ENUM_ENTRIES`` entries or
-    ``DEFAULT_MAX_ENUM_NODES`` nodes.
+    Outputs are checked with ``solvable_pmv``.  ``ValueError`` for n < 1, fewer than
+    two entries or u < 1.  No size or entry limit: ``ResourceLimitError`` past
+    ``MAX_ENUM_TRIES`` part choices, at once if the root's 2**entries pass it.
     """
-    if n < 1 or entries < 2:
-        raise ValueError("need n >= 1 and at least two entries")
-    limit = DEFAULT_MAX_ENUM_N if max_n is None else max_n
-    expanded, budget = 0, DEFAULT_MAX_ENUM_NODES
-    if n > limit:
-        raise ResourceLimitError(f"n={n} exceeds the enumeration guard {limit}")
-    if entries > MAX_ENUM_ENTRIES:
-        raise ResourceLimitError(f"at most {MAX_ENUM_ENTRIES} entries supported")
+    if n < 1 or entries < 2 or u is not None and u < 1:
+        raise ValueError("need n >= 1, at least two entries and u >= 1")
+    if entries >= MAX_ENUM_TRIES.bit_length():
+        raise ResourceLimitError(f"the root tries 2**{entries} > {MAX_ENUM_TRIES} part choices")
     found = []
     u = n if u is None else u
-    stack = [((1,),) * entries] if u >= 1 else []
+    stack, spare = [((1,),) * entries], [MAX_ENUM_TRIES]
     while stack:
         node = stack.pop()
         if sum(node[0]) < n:
-            expanded += 1
-            if expanded > budget:
-                raise ResourceLimitError(f"the walk to n={n} expands more than {budget} nodes")
-            stack.extend(_children(node, n, u))
+            stack.extend(_children(node, n, u, spare))
         elif not any((no_scalar and len(mv) == 1) or (no_all_ones and mv[0] == 1)
                      for mv in node):
             if not solvable_pmv(node):

@@ -4,11 +4,12 @@ and genericity checks, with stable text and JSON output.
 Verdicts are data, not exit codes: a NotSolvable decision still exits 0.  A
 failed check or construction exits 1 (a catalog-verify failure, a chain
 mismatch, an obstructed generic-gen), malformed input exits 2, and an exceeded
-resource guard exits 3.  generic-gen certifies its assignment in closed form
-and has no size guard; generic-check decides by elimination and exits 3 only
-when an input with n > 14 needs the relation search or its relation system is
-too large (past about HG_350).  generic-gen's --seed, enum-rigid's --jobs and
-catalog-verify's --chains are accepted and have no effect (perfbench's
+resource guard exits 3: enum-rigid's one budget of part choices tried (it has no
+size or entry limit), or generic-check's, which decides by elimination and exits
+3 only when an input with n > 14 needs the relation search or its relation
+system is too large (past about HG_350).  generic-gen certifies its assignment
+in closed form and has no size guard.  generic-gen's --seed, enum-rigid's --jobs
+and catalog-verify's --chains are accepted and have no effect (perfbench's
 workloads pass them).
 
 catalog-verify checks one reduction step per instance: each successor is a
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import (
@@ -154,9 +154,8 @@ def _cmd_enum_rigid(args) -> int:
 
     if args.defect != 2:
         raise ValueError(f"only defect 2 (rigid) can be enumerated, not {args.defect}")
-    max_n = int(os.environ.get("DSPKIT_MAX_N", str(catalog.DEFAULT_MAX_ENUM_N)))
     results = catalog.enumerate_rigid(args.n, args.entries, u=args.u, no_all_ones=args.no_all_ones,
-                                      no_scalar=args.no_scalar, max_n=max_n)
+                                      no_scalar=args.no_scalar)
     records = catalog.catalog_lines(results)
     if args.json:
         for record in records:
@@ -278,6 +277,8 @@ def _cmd_generic_gen(args) -> int:
 def _cmd_catalog_verify(args) -> int:
     from . import catalog
 
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, not {args.max_n}")
     per_family: dict[str, dict] = {}
     failures = []
     for sid in catalog.all_series_ids(args.max_n):

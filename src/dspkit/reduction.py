@@ -205,19 +205,17 @@ def solvable_pmv(mvs: Sequence[Sequence[int]]) -> bool:
     multiplicity vectors (non-increasing int sequences of equal sum).
 
     Allocation-light; the enumerator checks every tuple it emits with it.
+
+    No alpha test: d = n^2 - sum(m_i^2) >= n^2 - m_1 * n = n * r, so omega (sum r >= 2n)
+    gives alpha (sum d >= 2n^2 - 2).  The defect 2n^2 - sum d is invariant under the step
+    and under dropping scalars (d = 0), and a size-1 tuple has defect 2.  So a tuple that
+    fails alpha never meets omega nor reaches size 1, and beta or the two-entry exit
+    rejects it, as ``decide`` would.
     """
     cur = [tuple(m) for m in mvs]
     if len(cur) < 2:
         return False
     n = sum(cur[0])
-    dsum = 0
-    for m in cur:
-        s = 0
-        for x in m:
-            s += x * x
-        dsum += n * n - s
-    if dsum < 2 * n * n - 2:
-        return n == 1
     while True:
         if n == 1:
             return True

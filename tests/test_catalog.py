@@ -307,11 +307,12 @@ def test_enumerate_quintuples_n8_empty():
     assert enumerate_rigid(8, 5, **_U2) == []
 
 
-@pytest.mark.parametrize("entries, max_n", [(2, 8), (3, 12), (4, 10), (5, 8), (6, 8)])
+@pytest.mark.parametrize("entries, max_n", [(2, 8), (3, 12), (4, 10), (5, 8), (6, 8), (7, 6),
+                                            (8, 5)])
 def test_enumerate_matches_scan(entries, max_n):
     # the tree walk against the full sum-of-squares scan, with every filter
     for n in range(1, max_n + 1):
-        for u in (None, 0, 1, 2, 3):
+        for u in (None, 1, 2, 3):
             for no_all_ones, no_scalar in itertools.product((False, True), repeat=2):
                 got = enumerate_rigid(n, entries, u=u, no_all_ones=no_all_ones,
                                       no_scalar=no_scalar)
@@ -326,10 +327,10 @@ def test_children_bound_drops_no_child(monkeypatch):
     bounded = cat._children
     expanded = 0
 
-    def checked(parent, max_n, u):
+    def checked(parent, max_n, u, spare):
         nonlocal expanded
         expanded += 1
-        got = bounded(parent, max_n, u)
+        got = bounded(parent, max_n, u, spare)
         assert got == children_oracle(parent, max_n, u), (parent, max_n, u)
         return got
 
@@ -341,27 +342,37 @@ def test_children_bound_drops_no_child(monkeypatch):
     assert expanded > 7000
 
 
-def test_enumerate_resource_guard():
+def test_enumerate_resource_guard(monkeypatch):
+    import dspkit.catalog as cat
+
+    # the root of E entries tries 2**E part choices, so E is checked before it is built
+    monkeypatch.setattr(cat, "MAX_ENUM_TRIES", 2 ** 8)
+    assert enumerate_rigid(2, 8) == scan_rigid(2, 8)
+    monkeypatch.setattr(cat, "MAX_ENUM_TRIES", 2 ** 8 - 1)
+    with pytest.raises(ResourceLimitError, match=r"^the root tries 2\*\*8 > 255 part choices$"):
+        enumerate_rigid(2, 8)
+    monkeypatch.undo()
     with pytest.raises(ResourceLimitError):
-        enumerate_rigid(41, 3, **_U2)
-    with pytest.raises(ResourceLimitError):
-        enumerate_rigid(5, 7)
-    assert enumerate_rigid(41, 3, **_U2, max_n=41) is not None
-    # malformed sizes are refused before any guard
-    for n, entries in [(0, 3), (50, 1), (0, 7)]:
-        with pytest.raises(ValueError, match=r"^need n >= 1 and at least two entries$"):
-            enumerate_rigid(n, entries)
+        enumerate_rigid(3, 10 ** 9)
+    # no size guard
+    assert len(enumerate_rigid(41, 3, **_U2)) == 7
+    # malformed sizes and part bounds are refused before any guard
+    for n, entries, u in [(0, 3, None), (50, 1, None), (0, 10 ** 9, None), (5, 3, 0),
+                          (5, 10 ** 9, -1)]:
+        with pytest.raises(ValueError, match=r"^need n >= 1, at least two entries and u >= 1$"):
+            enumerate_rigid(n, entries, u=u)
 
 
 def test_enumerate_node_budget(monkeypatch):
     import dspkit.catalog as cat
 
-    # triples at n=8, scalars included, expand 44 nodes
+    # triples at n=8, scalars included, try 404 part choices
     want = enumerate_rigid(8, 3)
-    monkeypatch.setattr(cat, "DEFAULT_MAX_ENUM_NODES", 44)
+    monkeypatch.setattr(cat, "MAX_ENUM_TRIES", 404)
     assert enumerate_rigid(8, 3) == want
-    monkeypatch.setattr(cat, "DEFAULT_MAX_ENUM_NODES", 43)
-    with pytest.raises(ResourceLimitError, match=r"^the walk to n=8 expands more than 43 nodes$"):
+    monkeypatch.setattr(cat, "MAX_ENUM_TRIES", 403)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^the walk to n=8 tries > 403 part choices$"):
         enumerate_rigid(8, 3)
 
 
@@ -458,7 +469,7 @@ SPORADIC_U2_TRIPLES = {
 
 
 def _u2(n, entries):
-    return enumerate_rigid(n, entries, **_U2, max_n=60)
+    return enumerate_rigid(n, entries, **_U2)
 
 
 def test_u2_triples_named_except_sporadic_table():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -306,25 +307,38 @@ def test_enum_rigid_jobs_determinism(capsys):
     assert out1 == out2
 
 
-def test_enum_rigid_resource_guard(capsys, monkeypatch):
-    code, _, err = run(capsys, "enum-rigid", "--n", "41", "--entries", "3")
-    assert code == 3
-    monkeypatch.setenv("DSPKIT_MAX_N", "41")
-    code, _, _ = run(capsys, "enum-rigid", "--n", "41", "--entries", "2",
-                     "--u", "1", "--no-scalar")
-    assert code == 0
+def test_enum_rigid_resource_guard(capsys):
+    # the root of E entries tries 2**E part choices: past the budget, refused at once
+    for entries in ("40", "1000000000"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enum-rigid", "--n", "3", "--entries", entries)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and not out
+        assert err == f"error: the root tries 2**{entries} > 4000000 part choices\n"
+    # no size guard: the u=2 triples at n=41 run
+    code, out, _ = run(capsys, "enum-rigid", "--n", "41", "--entries", "3",
+                       "--u", "2", "--no-all-ones", "--no-scalar")
+    assert code == 0 and out.endswith("total: 7\n")
 
 
 def test_enum_rigid_node_budget(capsys, monkeypatch):
     import dspkit.catalog as cat
 
-    monkeypatch.setattr(cat, "DEFAULT_MAX_ENUM_NODES", 43)
+    # triples at n=8, scalars included, try 404 part choices
+    monkeypatch.setattr(cat, "MAX_ENUM_TRIES", 403)
     code, out, err = run(capsys, "enum-rigid", "--n", "8", "--entries", "3")
     assert code == 3 and not out
-    assert err == "error: the walk to n=8 expands more than 43 nodes\n"
-    monkeypatch.setattr(cat, "DEFAULT_MAX_ENUM_NODES", 44)
+    assert err == "error: the walk to n=8 tries > 403 part choices\n"
+    monkeypatch.setattr(cat, "MAX_ENUM_TRIES", 404)
     code, out, _ = run(capsys, "enum-rigid", "--n", "8", "--entries", "3")
     assert code == 0 and out.endswith("total: 45\n")
+
+
+@pytest.mark.parametrize("u", ["0", "-1"])
+def test_enum_rigid_part_bound_below_1_exits_2(capsys, u):
+    code, out, err = run(capsys, "enum-rigid", "--n", "5", "--entries", "3", "--u", u)
+    assert code == 2 and not out
+    assert err == "error: need n >= 1, at least two entries and u >= 1\n"
 
 
 _CLASSIFY = ["--u", "2", "--no-all-ones", "--no-scalar"]
@@ -349,6 +363,18 @@ def test_enum_rigid_output_is_byte_stable(capsys, args, json_digest, text_digest
         code, out, _ = run(capsys, "enum-rigid", *args, *extra)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
+
+
+@pytest.mark.parametrize("entries", ["3", "4"])
+def test_enum_rigid_u2_to_n200(capsys, entries):
+    # everything at n <= 200 but the sporadic triples at n <= 16 is named
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "enum-rigid", "--n", "200", "--entries", entries,
+                       *_CLASSIFY, "--json")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records and all(r["defect"] == 2 and r["series_names"] for r in records)
 
 
 def test_enum_rigid_rejects_other_defects(capsys):
@@ -504,6 +530,15 @@ def test_generic_check_trace_condition_failure(capsys):
     code, out, _ = run(capsys, "generic-check", blob)
     assert code == 0
     assert out == "trace condition: False\ngeneric: false (trace condition fails)\n"
+
+
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_catalog_verify_max_n_below_1_exits_2(capsys, max_n, flags):
+    # no instance would be checked, so there is no "all OK" to report
+    code, out, err = run(capsys, "catalog-verify", "--max-n", max_n, *flags)
+    assert code == 2 and not out
+    assert err == f"error: --max-n must be at least 1, not {max_n}\n"
 
 
 def test_catalog_verify(capsys, monkeypatch):

@@ -44,3 +44,12 @@ def test_library_has_no_cached_property():
                 or isinstance(node, ast.Attribute) and node.attr == "cached_property"
                 or isinstance(node, ast.alias) and node.name == "cached_property"]
         assert uses == [], f"{path.name}: cached_property at lines {uses}"
+
+
+def test_library_reads_no_environment_variable():
+    # the library's limits are constants, not knobs set from the environment
+    for path, tree in _library_trees():
+        reads = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                 or isinstance(node, ast.alias) and node.name in ("environ", "getenv")]
+        assert reads == [], f"{path.name}: environment read at lines {reads}"

@@ -327,6 +327,13 @@ def test_solvable_pmv_matches_root_oracle_exhaustive():
     assert count == 66973
 
 
+def test_class_dimension_is_at_least_n_times_rank():
+    # d >= n * r, so omega implies alpha: solvable_pmv needs no alpha test
+    shapes = [j for n in range(1, 11) for j in all_jnfs(n)]
+    assert all(j.d >= j.n * j.r for j in shapes)
+    assert len(shapes) == 1684 and sum(j.is_diagonal for j in shapes) == 138
+
+
 def test_decide_matches_root_oracle_on_jordan_tuples_exhaustive():
     # every 2- and 3-entry tuple of shapes with n <= 5, non-diagonal ones
     # included, against Kac's root test on the corresponding diagonal tuple
