@@ -5,7 +5,7 @@ reduction step backwards.
 A tuple is rigid when its defect 2n^2 - sum(d_j) equals 2.  The catalog holds one
 record per named family (its size map, parameter range, generator and successor in
 the reduction chain) and a per-size index on int vectors that names catalog members
-in traces and in enumerator output, whose walk has one guard: ``MAX_ENUM_TRIES``.
+in traces and in enumerator output, whose walk has one guard: ``MAX_ENUM_WORK``.
 """
 
 from __future__ import annotations
@@ -25,13 +25,14 @@ from .jnf import JnfTuple
 from .partitions import Partition, format_vectors, normalize
 from .reduction import psi_step, solvable_pmv
 
-#: The walk's one resource guard: part choices tried over all expanded nodes, which also
-#: bounds its stack and output.  The largest walks in perfbench and the tests try 13,828
-#: and 18,524.  Unconstrained, 2 runs in process under a 3 GB cap (Python 3.11, 2 cores),
-#: triples trip after 8.9-10.6 s / 50 MB peak RSS at n=40, 7.7-10.3 s / 31 MB at n=100,
-#: 5.5-8.1 s / 17 MB at n=10000, 9.2-11.0 s / 259 MB at n=10**30 (no leaves); 6 entries
-#: at n=40 after 8.2-9.1 s / 48 MB; 30 entries at once.
-MAX_ENUM_TRIES = 4_000_000
+#: The walk's one resource guard: a node with p parts that tries t part choices (the product
+#: of its entries' choice counts) does t*p units of work, as a try copies up to p parts.  The
+#: largest walks in perfbench and the tests do 162,989 and 1,551,788.  In process, 3 GB cap,
+#: 2 runs each (Python 3.11, 2 cores), walks trip after: unconstrained triples 1.3-1.6 s /
+#: 21 MB at n=40, 0.5-1.2 s / 18 MB at n=100 and 10000, 0.8-1.0 s / 140 MB at 10**30; 6 entries
+#: 1.1-1.4 s / 20 MB at n=40, 6 or 8 1.3-2.0 s / 284 MB at 10**30; u=1 or 2, 3 or 4 entries,
+#: n=10**4 to 10**30 0.1-0.4 s / 18 MB; 19 entries at n=40 4.0-4.6 s / 16 MB; 21 or 30 at once.
+MAX_ENUM_WORK = 10_000_000
 #: Bound on the cached per-size name indexes, chosen by measurement: perfbench's
 #: `batch` (seed 5) names states of 40 sizes, which 64 keeps (40 builds, 2,048 hits;
 #: 0.09-0.13 s to decide and name its lines in process) and 32 does not (350 builds,
@@ -396,7 +397,7 @@ def _children(parent: _Vectors, max_n: int, u: int, spare: list[int]) -> set[_Ve
     """Canonical tuples of size <= ``max_n``, with an entry of parts <= ``u``, that one
     reduction step takes to ``parent``: entry j gains k = (E-2)*n1 - sum(x_j) on one
     part x_j (or on a new part, x_j = 0), and x_j + k must be a largest part.  The node's
-    tries, the product of the choice counts, come out of ``spare[0]`` or raise past it."""
+    work, parts times tries (the product of the choice counts), leaves ``spare[0]`` or raises."""
     n1 = sum(parent[0])
     base = (len(parent) - 2) * n1
     # 1 <= k <= kmax, so x_j + k can be a largest part only for x_j >= mv[0] - kmax,
@@ -404,17 +405,17 @@ def _children(parent: _Vectors, max_n: int, u: int, spare: list[int]) -> set[_Ve
     kmax = min(max_n - n1, u)
     # per entry: each such distinct part x (0 for none) -> what is left of the entry without it
     left = []
-    tries = 1
+    work = sum(map(len, parent))
     for mv in parent:
         low = mv[0] - kmax
         choices = {0: mv} if low <= 0 else {}
         choices.update((x, mv[:i] + mv[i + 1:]) for i, x in enumerate(mv)
                        if x >= low and (not i or mv[i - 1] != x))
         left.append(choices)
-        tries *= len(choices)
-        if tries > spare[0]:
-            raise ResourceLimitError(f"the walk to n={max_n} tries > {MAX_ENUM_TRIES} part choices")
-    spare[0] -= tries
+        work *= len(choices)
+        if work > spare[0]:
+            raise ResourceLimitError(f"the walk to n={max_n} does > {MAX_ENUM_WORK} units of work")
+    spare[0] -= work
     out = set()
     for xs in itertools.product(*left):
         k = base - sum(xs)
@@ -443,16 +444,16 @@ def enumerate_rigid(n: int, entries: int, *, u: int | None = None, no_all_ones: 
     form a tree (Katz's algorithm run backwards) that the walk grows up to size ``n``,
     keeping scalar entries as (n).  The step never raises a part, so ``u`` prunes it.
     Outputs are checked with ``solvable_pmv``.  ``ValueError`` for n < 1, fewer than
-    two entries or u < 1.  No size or entry limit: ``ResourceLimitError`` past
-    ``MAX_ENUM_TRIES`` part choices, at once if the root's 2**entries pass it.
+    two entries or u < 1.  No size or entry limit: ``ResourceLimitError`` past ``MAX_ENUM_WORK``
+    units of work, at once and at any n if the root's 2**entries tries alone pass it.
     """
     if n < 1 or entries < 2 or u is not None and u < 1:
         raise ValueError("need n >= 1, at least two entries and u >= 1")
-    if entries >= MAX_ENUM_TRIES.bit_length():
-        raise ResourceLimitError(f"the root tries 2**{entries} > {MAX_ENUM_TRIES} part choices")
+    if entries >= MAX_ENUM_WORK.bit_length():
+        raise ResourceLimitError(f"the root tries 2**{entries} > {MAX_ENUM_WORK} part choices")
     found = []
     u = n if u is None else u
-    stack, spare = [((1,),) * entries], [MAX_ENUM_TRIES]
+    stack, spare = [((1,),) * entries], [MAX_ENUM_WORK]
     while stack:
         node = stack.pop()
         if sum(node[0]) < n:

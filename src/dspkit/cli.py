@@ -4,8 +4,8 @@ and genericity checks, with stable text and JSON output.
 Verdicts are data, not exit codes: a NotSolvable decision still exits 0.  A
 failed check or construction exits 1 (a catalog-verify failure, a chain
 mismatch, an obstructed generic-gen), malformed input exits 2, and an exceeded
-resource guard exits 3: enum-rigid's one budget of part choices tried (it has no
-size or entry limit), or generic-check's, which decides by elimination and exits
+resource guard exits 3: enum-rigid's one work budget (it has no size or entry
+limit), or generic-check's, which decides by elimination and exits
 3 only when an input with n > 14 needs the relation search or its relation
 system is too large (past about HG_350).  generic-gen certifies its assignment
 in closed form and has no size guard.  generic-gen's --seed, enum-rigid's --jobs

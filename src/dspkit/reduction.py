@@ -208,9 +208,8 @@ def solvable_pmv(mvs: Sequence[Sequence[int]]) -> bool:
 
     No alpha test: d = n^2 - sum(m_i^2) >= n^2 - m_1 * n = n * r, so omega (sum r >= 2n)
     gives alpha (sum d >= 2n^2 - 2).  The defect 2n^2 - sum d is invariant under the step
-    and under dropping scalars (d = 0), and a size-1 tuple has defect 2.  So a tuple that
-    fails alpha never meets omega nor reaches size 1, and beta or the two-entry exit
-    rejects it, as ``decide`` would.
+    and under dropping scalars (d = 0), and is 2 at size 1, so a tuple failing alpha never
+    meets omega nor reaches size 1: beta or the two-entry exit rejects it, as ``decide`` would.
     """
     cur = [tuple(m) for m in mvs]
     if len(cur) < 2:

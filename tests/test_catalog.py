@@ -345,17 +345,27 @@ def test_children_bound_drops_no_child(monkeypatch):
 def test_enumerate_resource_guard(monkeypatch):
     import dspkit.catalog as cat
 
-    # the root of E entries tries 2**E part choices, so E is checked before it is built
-    monkeypatch.setattr(cat, "MAX_ENUM_TRIES", 2 ** 8)
+    # the root of E single-part entries tries 2**E part choices, E units each
+    monkeypatch.setattr(cat, "MAX_ENUM_WORK", 8 * 2 ** 8)
     assert enumerate_rigid(2, 8) == scan_rigid(2, 8)
-    monkeypatch.setattr(cat, "MAX_ENUM_TRIES", 2 ** 8 - 1)
-    with pytest.raises(ResourceLimitError, match=r"^the root tries 2\*\*8 > 255 part choices$"):
+    monkeypatch.setattr(cat, "MAX_ENUM_WORK", 8 * 2 ** 8 - 1)
+    with pytest.raises(ResourceLimitError, match=r"^the walk to n=2 does > 2047 units of work$"):
         enumerate_rigid(2, 8)
+    # past 2**E > budget, E is refused before the root is built, at any n
+    monkeypatch.setattr(cat, "MAX_ENUM_WORK", 2 ** 8 - 1)
+    with pytest.raises(ResourceLimitError, match=r"^the root tries 2\*\*8 > 255 part choices$"):
+        enumerate_rigid(1, 8)
+    assert enumerate_rigid(1, 7) == [((1,),) * 7]
     monkeypatch.undo()
-    with pytest.raises(ResourceLimitError):
-        enumerate_rigid(3, 10 ** 9)
+    for n in (1, 3):
+        with pytest.raises(ResourceLimitError, match=r"^the root tries 2\*\*1000000000 > "):
+            enumerate_rigid(n, 10 ** 9)
     # no size guard
     assert len(enumerate_rigid(41, 3, **_U2)) == 7
+    # deep, narrow walks pay for the parts they copy: triples with an all-ones entry
+    # (about 4n^2 units to size n) trip on the way to n=10**5
+    with pytest.raises(ResourceLimitError, match=r"^the walk to n=100000 does > "):
+        enumerate_rigid(10 ** 5, 3, u=1)
     # malformed sizes and part bounds are refused before any guard
     for n, entries, u in [(0, 3, None), (50, 1, None), (0, 10 ** 9, None), (5, 3, 0),
                           (5, 10 ** 9, -1)]:
@@ -366,13 +376,13 @@ def test_enumerate_resource_guard(monkeypatch):
 def test_enumerate_node_budget(monkeypatch):
     import dspkit.catalog as cat
 
-    # triples at n=8, scalars included, try 404 part choices
+    # triples at n=8, scalars included, do 4,035 units of work
     want = enumerate_rigid(8, 3)
-    monkeypatch.setattr(cat, "MAX_ENUM_TRIES", 404)
+    monkeypatch.setattr(cat, "MAX_ENUM_WORK", 4035)
     assert enumerate_rigid(8, 3) == want
-    monkeypatch.setattr(cat, "MAX_ENUM_TRIES", 403)
+    monkeypatch.setattr(cat, "MAX_ENUM_WORK", 4034)
     with pytest.raises(ResourceLimitError,
-                       match=r"^the walk to n=8 tries > 403 part choices$"):
+                       match=r"^the walk to n=8 does > 4034 units of work$"):
         enumerate_rigid(8, 3)
 
 

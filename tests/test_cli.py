@@ -308,13 +308,14 @@ def test_enum_rigid_jobs_determinism(capsys):
 
 
 def test_enum_rigid_resource_guard(capsys):
-    # the root of E entries tries 2**E part choices: past the budget, refused at once
+    # the root of E entries tries 2**E part choices: past the budget, refused before the
+    # walk starts (the time bound is loose, for shared hosts; the message shows no walk ran)
     for entries in ("40", "1000000000"):
         start = time.perf_counter()
         code, out, err = run(capsys, "enum-rigid", "--n", "3", "--entries", entries)
-        assert time.perf_counter() - start < 1
+        assert time.perf_counter() - start < 10
         assert code == 3 and not out
-        assert err == f"error: the root tries 2**{entries} > 4000000 part choices\n"
+        assert err == f"error: the root tries 2**{entries} > 10000000 part choices\n"
     # no size guard: the u=2 triples at n=41 run
     code, out, _ = run(capsys, "enum-rigid", "--n", "41", "--entries", "3",
                        "--u", "2", "--no-all-ones", "--no-scalar")
@@ -324,12 +325,12 @@ def test_enum_rigid_resource_guard(capsys):
 def test_enum_rigid_node_budget(capsys, monkeypatch):
     import dspkit.catalog as cat
 
-    # triples at n=8, scalars included, try 404 part choices
-    monkeypatch.setattr(cat, "MAX_ENUM_TRIES", 403)
+    # triples at n=8, scalars included, do 4,035 units of work
+    monkeypatch.setattr(cat, "MAX_ENUM_WORK", 4034)
     code, out, err = run(capsys, "enum-rigid", "--n", "8", "--entries", "3")
     assert code == 3 and not out
-    assert err == "error: the walk to n=8 tries > 403 part choices\n"
-    monkeypatch.setattr(cat, "MAX_ENUM_TRIES", 404)
+    assert err == "error: the walk to n=8 does > 4034 units of work\n"
+    monkeypatch.setattr(cat, "MAX_ENUM_WORK", 4035)
     code, out, _ = run(capsys, "enum-rigid", "--n", "8", "--entries", "3")
     assert code == 0 and out.endswith("total: 45\n")
 
@@ -367,11 +368,12 @@ def test_enum_rigid_output_is_byte_stable(capsys, args, json_digest, text_digest
 
 @pytest.mark.parametrize("entries", ["3", "4"])
 def test_enum_rigid_u2_to_n200(capsys, entries):
-    # everything at n <= 200 but the sporadic triples at n <= 16 is named
+    # everything at n <= 200 but the sporadic triples at n <= 16 is named; the walk takes
+    # about 0.1 s, and the time bound is loose, for shared hosts
     start = time.perf_counter()
     code, out, _ = run(capsys, "enum-rigid", "--n", "200", "--entries", entries,
                        *_CLASSIFY, "--json")
-    assert time.perf_counter() - start < 1
+    assert time.perf_counter() - start < 10
     assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
     assert records and all(r["defect"] == 2 and r["series_names"] for r in records)
