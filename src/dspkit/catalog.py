@@ -6,6 +6,8 @@ A tuple is rigid when its defect 2n^2 - sum(d_j) equals 2.  The catalog holds on
 record per named family (its size map, parameter range, generator and successor in
 the reduction chain) and a per-size index on int vectors that names catalog members
 in traces and in enumerator output, whose walk has one guard: ``MAX_ENUM_WORK``.
+One memoized builder makes each member's canonical int vectors once per process;
+``series_mvs``, ``series``, the chain check and the name index all read them.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ MAX_ENUM_WORK = 10_000_000
 #: 0.26-0.31 s).  Naming the chain of HG_800 builds 800 indexes: peak RSS 78 MB
 #: unbounded, 30 MB with the bound (Python 3.11, 2 cores).
 _NAMES_CACHE_SIZE = 64
+#: Bound on the memoized catalog members, chosen by measurement: catalog-verify builds
+#: each of its 553 instances once at --max-n 30 and each of its 1,134 at the default
+#: --max-n 60 (at 200, 172 of 3,840 twice).  Naming the chain of HG_800 builds 15,440
+#: members: peak RSS 41.7 MB with the bound, 46.0 MB with 2,048 and 41.6 MB with no
+#: memo (Python 3.11, 2 cores).
+_MEMBER_CACHE_SIZE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +282,37 @@ FAMILIES: dict[str, _Family] = {
 }
 
 
-def series_mvs(sid: SeriesId) -> tuple[Partition, ...]:
-    """Canonical multiplicity vectors of the family instance."""
-    fam = FAMILIES.get(sid.name)
-    if fam is None:
-        raise SeriesParameterError(f"unknown series {sid.name!r}")
+_Vectors = tuple[tuple[int, ...], ...]
+
+
+@functools.lru_cache(maxsize=_MEMBER_CACHE_SIZE)
+def _member(sid: SeriesId, fam: _Family) -> _Vectors:
+    """Canonical int vectors of instance ``sid`` as ``fam`` builds it, built once per
+    process: keyed by the record too, so a patched ``FAMILIES`` entry builds anew."""
     if not fam.ok(sid.param):
         raise SeriesParameterError(f"parameter {sid.param} out of range for {sid.name}")
-    mvs = sorted((normalize(raw) for raw in fam.build(sid.param)), reverse=True)
-    if {mv.size for mv in mvs} != {fam.n_of(sid.param)}:
-        raise RuntimeError(f"{sid} does not build vectors of size {fam.n_of(sid.param)}")
-    return tuple(mvs)
+    n = fam.n_of(sid.param)
+    mvs = tuple(sorted((tuple(sorted(filter(None, raw), reverse=True))
+                        for raw in fam.build(sid.param)), reverse=True))
+    if {sum(mv) for mv in mvs} != {n} or any(mv[-1] < 1 for mv in mvs):
+        raise RuntimeError(f"{sid} does not build positive vectors of size {n}")
+    return mvs
+
+
+def _vectors(node: SeriesId | int) -> _Vectors:
+    """A chain member's canonical int vectors: a catalog instance's, or a tail of
+    that many size-1 entries."""
+    if isinstance(node, int):
+        return ((1,),) * node
+    fam = FAMILIES.get(node.name)
+    if fam is None:
+        raise SeriesParameterError(f"unknown series {node.name!r}")
+    return _member(node, fam)
+
+
+def series_mvs(sid: SeriesId) -> tuple[Partition, ...]:
+    """Canonical multiplicity vectors of the family instance."""
+    return tuple(map(Partition, _vectors(sid)))
 
 
 def series(sid: SeriesId | str) -> JnfTuple:
@@ -304,9 +332,6 @@ def all_series_ids(max_n: int) -> Iterator[SeriesId]:
             param += 1
 
 
-_Vectors = tuple[tuple[int, ...], ...]
-
-
 @functools.lru_cache(maxsize=_NAMES_CACHE_SIZE)
 def _names_by_pmv(n: int) -> dict[_Vectors, tuple[str, ...]]:
     """Sorted names of the size-``n`` catalog instances, keyed by canonical vectors."""
@@ -315,7 +340,7 @@ def _names_by_pmv(n: int) -> dict[_Vectors, tuple[str, ...]]:
         param = bisect.bisect_left(range(n + 1), n, key=fam.n_of)
         if param <= n and fam.n_of(param) == n and fam.ok(param):
             sid = SeriesId(name, param)
-            index.setdefault(tuple(mv.parts for mv in series_mvs(sid)), []).append(str(sid))
+            index.setdefault(_member(sid, fam), []).append(str(sid))
     return {key: tuple(sorted(names)) for key, names in index.items()}
 
 
@@ -341,9 +366,8 @@ class ChainStep(NamedTuple):
 
 def _chain_step(node: SeriesId | int) -> ChainStep:
     """A chain member: a catalog instance, or a tail of that many size-1 entries."""
-    if isinstance(node, int):
-        return ChainStep(";".join(["(1)"] * node), (Partition((1,)),) * node)
-    return ChainStep(str(node), series_mvs(node))
+    label = ";".join(["(1)"] * node) if isinstance(node, int) else str(node)
+    return ChainStep(label, tuple(map(Partition, _vectors(node))))
 
 
 def verify_step(sid: SeriesId | str) -> SeriesId | int | None:
@@ -365,17 +389,19 @@ def verify_step(sid: SeriesId | str) -> SeriesId | int | None:
         return None
     nxt = FAMILIES[sid.name].succ(sid.param)
     try:
-        want = _chain_step(nxt)
+        want = _vectors(nxt)
     except SeriesParameterError as exc:
         raise ChainMismatchError(f"{sid}: bad successor {nxt} ({exc})") from None
     try:
         got = psi_step(t)
     except PreconditionError as exc:
         raise ChainMismatchError(f"{sid}: step 1 is undefined ({exc})") from None
-    mvs = sorted((mv for mv in got.pmv() if got.n == 1 or len(mv.parts) > 1), reverse=True)
-    if tuple(mvs) != want.mvs:
-        state = format_vectors(mv.parts for mv in mvs)
-        raise ChainMismatchError(f"{sid}: step 1 is {state}, expected {want.label} = {want}")
+    mvs = tuple(sorted((mv.parts for mv in got.pmv() if got.n == 1 or len(mv.parts) > 1),
+                       reverse=True))
+    if mvs != want:
+        step = _chain_step(nxt)
+        raise ChainMismatchError(
+            f"{sid}: step 1 is {format_vectors(mvs)}, expected {step.label} = {step}")
     return nxt
 
 

@@ -7,9 +7,11 @@ multiplicity vector (one part per eigenvalue).
 
 Shapes are immutable and may be shared: ``Jnf.diagonal`` reuses one all-ones
 slot per multiplicity, and the reduction step reuses the shapes it has already
-built.  A ``Jnf`` fills its multiplicity vector, text and hash into slots on first
-use, so a shape that is never printed or hashed never pays for them.  Never mutate
-a ``Partition`` or ``Jnf`` with ``object.__setattr__``.
+built.  ``Jnf.diagonal`` builds a diagonal shape in one pass from its vector, with
+the multiplicity vector already filled in; any other ``Jnf`` fills its vector, and
+every ``Jnf`` its text and hash, into slots on first use, so a shape that is never
+printed or hashed never pays for them.  Never mutate a ``Partition`` or ``Jnf``
+with ``object.__setattr__``.
 
 ``jnf_tuple_json`` writes a tuple's compact JSON text directly, joining each
 slot's cached ``[a,b,...]`` text; it is the one definition of the JSON form, and
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Iterable
 
 from .errors import require_key
@@ -124,10 +126,26 @@ class Jnf(_Frozen):
 
     @classmethod
     def diagonal(cls, mv: Partition | Iterable[int]) -> "Jnf":
-        """The diagonal shape of multiplicity vector ``mv``; equal multiplicities
-        share one interned all-ones slot."""
+        """The diagonal shape of multiplicity vector ``mv``, built in one pass.
+
+        The validated vector's parts are already the canonical slot order, so
+        n, r and d are sum(m), n - m_1 and n^2 - sum(m^2), and the vector itself
+        is kept as ``_mv``.  Equal multiplicities share one interned all-ones slot.
+        """
         mv = mv if isinstance(mv, Partition) else normalize(mv)
-        return cls(tuple(_ones(m) for m in mv.parts))
+        parts = mv.parts
+        if not parts:
+            raise ValueError("a Jordan shape needs at least one eigenvalue slot")
+        self = object.__new__(cls)
+        put = object.__setattr__
+        n = mv.size
+        put(self, "slots", tuple(map(_ones, parts)))
+        put(self, "n", n)
+        put(self, "r", n - parts[0])
+        put(self, "d", n * n - sum(map(mul, parts, parts)))
+        put(self, "is_diagonal", True)
+        put(self, "_mv", mv)
+        return self
 
     def multiplicity_vector(self) -> Partition:
         if not self.is_diagonal:

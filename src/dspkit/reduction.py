@@ -17,7 +17,9 @@ checks every precondition and raises ``PreconditionError`` when one fails.
 
 Reduction chains share long suffixes, so the per-entry cut of ``psi_step`` is
 memoized: the shapes in the tuples that ``psi_step`` and ``decide`` return may
-be shared objects.  They are immutable; never mutate them.
+be shared objects.  They are immutable; never mutate them.  A diagonal entry is
+cut on its multiplicity vector, the largest multiplicity lowered by n - n1, and
+rebuilt in one pass by ``Jnf.diagonal``; a Jordan entry is cut block by block.
 
 ``trace_json`` writes a trace's compact, sorted-key JSON text directly, ints,
 booleans and ``null`` inline and each state through ``jnf_tuple_json``; it is the
@@ -132,7 +134,9 @@ def _step(t: JnfTuple, rep: ConditionReport) -> JnfTuple:
         max_count = e.n - e.r
         if k > max_count:  # beta guarantees n - n1 <= n - r_j
             raise RuntimeError(f"block bound broken: cutting {k} from {max_count} blocks")
-        chosen = next(i for i, s in enumerate(e.slots) if len(s.parts) == max_count)
+        # a diagonal entry's first slot holds its largest multiplicity
+        chosen = 0 if e.is_diagonal else next(
+            i for i, s in enumerate(e.slots) if len(s.parts) == max_count)
         new_entries.append(_cut(e, chosen, k))
     return JnfTuple(tuple(new_entries))
 
@@ -140,7 +144,17 @@ def _step(t: JnfTuple, rep: ConditionReport) -> JnfTuple:
 @lru_cache(maxsize=_CUT_CACHE_SIZE)
 def _cut(e: Jnf, chosen: int, k: int) -> Jnf:
     """``e`` with 1 cut from each of the ``k`` smallest blocks of slot ``chosen``;
-    an emptied slot is deleted."""
+    an emptied slot is deleted.  On a diagonal shape that lowers multiplicity
+    ``chosen`` by k; other shapes take ``_cut_blocks``."""
+    if not e.is_diagonal:
+        return _cut_blocks(e, chosen, k)
+    mv = list(e.multiplicity_vector().parts)
+    mv[chosen] -= k
+    return Jnf.diagonal(mv)
+
+
+def _cut_blocks(e: Jnf, chosen: int, k: int) -> Jnf:
+    """``_cut`` on the block sizes of any shape; the tests' reference for diagonal ones."""
     blocks = list(e.slots[chosen].parts)
     for i in range(len(blocks) - k, len(blocks)):
         blocks[i] -= 1

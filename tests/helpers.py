@@ -152,6 +152,12 @@ def _weighted(values, weights, skip) -> dict:
     return out
 
 
+def shape_fields(j: Jnf) -> tuple:
+    """Everything a shape shows: slots, invariants, hash, text and, if diagonal, vector."""
+    mv = j.multiplicity_vector() if j.is_diagonal else None
+    return (j.slots, j.n, j.r, j.d, j.is_diagonal, hash(j), str(j), mv)
+
+
 def all_jnfs(n: int) -> list[Jnf]:
     """Every shape of size n: a multiset of nonempty slot partitions."""
     out = []

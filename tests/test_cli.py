@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -162,6 +163,16 @@ def test_text_output_is_byte_stable(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_long_diagonal_chain_is_byte_stable(capsys):
+    # HG_60 = (59,1);(1^60);(1^60) steps through every size down to 1, each state
+    # diagonal and named, so this pins the diagonal build, cut and naming across 60 sizes
+    ones = "(" + ",".join(["1"] * 60) + ")"
+    code, out, _ = run(capsys, "decide", f"(59,1);{ones};{ones}", "--json")
+    assert code == 0 and json.loads(out)["chain"][-1] == ["D_0", "HG_1", "H_0", "W_0"]
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "536fb9038d495560c465b93376cd0b29e741ad22cd6b4e0afdb7d183e1fff042")
 
 
 def test_decide_tuple_with_file_exits_2(tmp_path, capsys):
@@ -577,6 +588,42 @@ def test_catalog_verify_chains_steps_each_instance_once(capsys, monkeypatch, fla
     code, out, _ = run(capsys, "catalog-verify", "--max-n", "30", *flags, "--json")
     assert code == 0 and json.loads(out)["all_ok"] is True
     assert 0 < len(calls) <= len(list(cat.all_series_ids(30)))
+
+
+def _counted_builds(monkeypatch) -> collections.Counter:
+    """Count each family generator's calls per instance, on patched records that
+    share no memoized member with earlier calls."""
+    import dspkit.catalog as cat
+
+    builds = collections.Counter()
+
+    def counted(name, build):
+        def wrapper(param):
+            builds[cat.SeriesId(name, param)] += 1
+            return build(param)
+        return wrapper
+
+    for name, fam in cat.FAMILIES.items():
+        monkeypatch.setitem(cat.FAMILIES, name, fam._replace(build=counted(name, fam.build)))
+    return builds
+
+
+def test_chain_builds_each_member_once(capsys, monkeypatch):
+    import dspkit.catalog as cat
+
+    builds = _counted_builds(monkeypatch)
+    code, out, _ = run(capsys, "chain", "HG_30", "--json")
+    assert code == 0 and json.loads(out)["chain"] == [f"HG_{n}" for n in range(30, 0, -1)]
+    assert builds == {cat.SeriesId("HG", n): 1 for n in range(1, 31)}
+
+
+def test_catalog_verify_builds_each_instance_once(capsys, monkeypatch):
+    import dspkit.catalog as cat
+
+    builds = _counted_builds(monkeypatch)
+    code, out, _ = run(capsys, "catalog-verify", "--max-n", "30", "--json")
+    assert code == 0 and json.loads(out)["all_ok"] is True
+    assert builds == dict.fromkeys(cat.all_series_ids(30), 1)
 
 
 def test_an_undefined_chain_step_exits_1(capsys, monkeypatch):

@@ -14,7 +14,9 @@ from dspkit import (
     jnf_tuple_to_dict,
     parse_pmv,
 )
-from helpers import all_jnfs, centralizer_dim_oracle
+from dspkit.jnf import _ones
+from dspkit.partitions import MAX_SIZE, normalize
+from helpers import all_jnfs, centralizer_dim_oracle, partitions_of, shape_fields
 
 
 def mv(*parts):
@@ -142,6 +144,34 @@ def test_lazily_filled_fields_are_stable_and_frozen():
                 delattr(a, name)
         assert not hasattr(a, "__dict__")
         assert (str(a), hash(a)) == (text, h)
+
+
+def _general_diagonal(raw):
+    # the general constructor on all-ones slots: the reference for the one-pass build
+    return Jnf(tuple(_ones(m) for m in normalize(raw).parts))
+
+
+def test_diagonal_matches_the_general_constructor():
+    for n in range(1, 13):
+        for parts in partitions_of(n):
+            want = shape_fields(_general_diagonal(parts))
+            for given in (parts, Partition(parts), parts[::-1]):
+                got = Jnf.diagonal(given)
+                assert shape_fields(got) == want, given
+                assert got == _general_diagonal(parts)
+                assert got.multiplicity_vector().parts == parts
+
+
+@pytest.mark.parametrize("raw", [(), (0,), (0, 0), (-1,), (2, -1), (1.0,), (True,),
+                                 (MAX_SIZE + 1,)], ids=repr)
+def test_diagonal_rejects_what_the_general_constructor_rejects(raw):
+    with pytest.raises(ValueError) as want:
+        _general_diagonal(raw)
+    with pytest.raises(ValueError) as got:
+        Jnf.diagonal(raw)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="^a Jordan shape needs at least one eigenvalue slot$"):
+        Jnf.diagonal(Partition())
 
 
 def test_tuple_validation():

@@ -28,6 +28,7 @@ from helpers import (
     random_jnf_tuple,
     random_pmv,
     reference_psi_step,
+    shape_fields,
     trace_dict_oracle,
 )
 
@@ -226,6 +227,24 @@ def test_psi_step_matches_reference_step():
             continue
         assert _raw(psi_step(t)) == want, t
         stepped += 1
+
+
+def test_diagonal_cut_matches_the_block_cut():
+    # the multiplicity-vector cut against the general cut on all-ones blocks, for
+    # every slot and every count; the step itself takes slot 0 with k up to its size
+    cut, blocks = dspkit.reduction._cut.__wrapped__, dspkit.reduction._cut_blocks
+    cases = 0
+    for n in range(1, 11):
+        for parts in partitions_of(n):
+            e = Jnf.diagonal(parts)
+            for chosen, m in enumerate(parts):
+                for k in range(1, m + 1):
+                    if len(parts) == 1 and k == m:
+                        continue  # nothing would be left: not a shape
+                    got, want = cut(e, chosen, k), blocks(e, chosen, k)
+                    assert shape_fields(got) == shape_fields(want), (parts, chosen, k)
+                    cases += 1
+    assert cases == 1096
 
 
 def test_decide_traces_do_not_depend_on_cache_state():
