@@ -22,18 +22,18 @@ _EXPORTS = {
     "genericity": (
         "EigenvalueAssignment", "ExactValue", "NongenericityWitness", "assignment_from_dict",
         "assignment_to_dict", "candidate_assignment", "gcd_obstruction", "generate_generic",
-        "is_generic", "nongenericity_witness", "trace_condition",
+        "nongenericity_witness", "trace_condition",
     ),
     "jnf": (
-        "Jnf", "JnfTuple", "corresponding_diagonal", "diagonalized", "jnf_from_dict",
-        "jnf_to_dict", "jnf_tuple_from_dict", "jnf_tuple_to_dict", "parse_pmv",
+        "Jnf", "JnfTuple", "corresponding_diagonal", "jnf_from_dict", "jnf_tuple_from_dict",
+        "parse_pmv",
     ),
     "partitions": (
         "Partition", "disjoint_sum", "dual", "normalize", "parse_partition",
     ),
     "reduction": (
         "ConditionReport", "Reason", "ReductionTrace", "TraceStep", "Verdict",
-        "check_conditions", "decide", "psi_step", "solvable_pmv", "trace_to_dict",
+        "check_conditions", "decide", "psi_step", "solvable_pmv",
     ),
 }
 

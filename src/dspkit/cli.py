@@ -117,6 +117,7 @@ def _cmd_decide(args) -> int:
 
 def _cmd_trace(args) -> int:
     from . import catalog, reduction
+    from .jnf import jnf_tuple_json
 
     t = _tuple_from_args(args)
     trace, chain = _decide(t, catalog, reduction)
@@ -124,16 +125,18 @@ def _cmd_trace(args) -> int:
         print(_decide_json(t, trace, chain, catalog, reduction))
         return EXIT_OK
     _print_verdict(trace.verdict)
-    for i, step in enumerate(reduction.trace_to_dict(trace)["steps"]):
-        state = step.get("pmv") or json.dumps(step["state"], sort_keys=True)
-        names = chain[i]
+    for i, (step, names) in enumerate(zip(trace.steps, chain)):
+        s = step.state
+        # a Jordan state prints as its JSON form, spaced as json.dumps spaces it
+        state = str(s) if s.is_diagonal else json.dumps(json.loads(jnf_tuple_json(s)),
+                                                        sort_keys=True)
         tag = f"  [{'='.join(names)}]" if names else ""
-        print(f"step {i}: n={step['n']} {state}{tag}")
-        if step["dropped"]:
-            print(f"  dropped scalar entries: {step['dropped']}")
-        print(f"  alpha slack {step['alpha']['slack']}, "
-              f"beta margins {step['beta']['margins']}, "
-              f"omega slack {step['omega']['slack']}, n1={step['n1']}")
+        print(f"step {i}: n={step.n} {state}{tag}")
+        if step.dropped_scalar_indices:
+            print(f"  dropped scalar entries: {list(step.dropped_scalar_indices)}")
+        rep = step.report
+        print(f"  alpha slack {rep.alpha_slack}, beta margins {list(rep.beta_margins)}, "
+              f"omega slack {rep.omega_slack}, n1={step.n1}")
     return EXIT_OK
 
 

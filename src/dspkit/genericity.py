@@ -25,7 +25,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import add, mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import ObstructionError, ResourceLimitError, require_key
 
@@ -39,7 +39,9 @@ GENERIC_CHECK_MAX_N = 14
 
 class _Record:
     """An immutable value record: equality, hash and repr over the fields
-    annotated in the subclass, which ``__init__`` sets through ``_set``.  The
+    annotated in the subclass, which ``__init__`` sets through ``_set``.  It is
+    for the records that validate their input and keep hidden coordinates
+    (``ExactValue``, ``EigenvalueAssignment``); the others are named tuples.  The
     package imports no ``dataclasses`` (which loads ``inspect``, about 10 ms
     per process), so the records are written out."""
 
@@ -178,13 +180,10 @@ class EigenvalueAssignment(_Record):
         return tuple(tuple(m for _, m in entry) for entry in self.entries)
 
 
-class NongenericityWitness(_Record):
+class NongenericityWitness(NamedTuple):
     kappa: int
     sub_multiplicities: tuple[tuple[int, ...], ...]
     total: ExactValue
-
-    def __init__(self, kappa: int, sub_multiplicities, total: ExactValue) -> None:
-        self._set(kappa=kappa, sub_multiplicities=sub_multiplicities, total=total)
 
 
 def _selection_sum(a: EigenvalueAssignment, choice) -> list[int]:
@@ -310,7 +309,8 @@ _MAX_SYSTEM_ENTRIES = 500_000
 def nongenericity_witness(a: EigenvalueAssignment) -> NongenericityWitness | None:
     """Smallest (kappa, lexicographic sub-multiplicity choice) violating relation,
     or None when no sub-selection relation holds.  The trace condition is not
-    checked here; ``is_generic`` requires both.
+    checked here: an assignment is generic when ``trace_condition`` holds and
+    this returns None.
 
     A relation is an integer vector c with 0 <= c <= m slot by slot that
     solves the homogeneous system of ``_relation_rows`` and has kappa, the sum
@@ -404,11 +404,6 @@ def _search_witness(a: EigenvalueAssignment) -> NongenericityWitness | None:
                     choice = vecs + (v,) + hit
                     return NongenericityWitness(kappa, choice, _selection_total(a, choice))
     return None
-
-
-def is_generic(a: EigenvalueAssignment) -> bool:
-    """The trace condition holds and no sub-selection relation does."""
-    return trace_condition(a) and nongenericity_witness(a) is None
 
 
 def gcd_obstruction(t: JnfTuple) -> int | None:

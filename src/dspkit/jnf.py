@@ -14,14 +14,12 @@ printed or hashed never pays for them.  Never mutate a ``Partition`` or ``Jnf``
 with ``object.__setattr__``.
 
 ``jnf_tuple_json`` writes a tuple's compact JSON text directly, joining each
-slot's cached ``[a,b,...]`` text; it is the one definition of the JSON form, and
-the ``*_to_dict`` functions parse its output.
+slot's cached ``[a,b,...]`` text; it is the one definition of the JSON form.
 """
 
 from __future__ import annotations
 
-import json
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from operator import attrgetter, mul
 from typing import Iterable
 
@@ -45,6 +43,7 @@ def _slot_json(parts: tuple[int, ...]) -> str:
     return "[" + ",".join(map(str, parts)) + "]"
 
 
+@total_ordering
 class Jnf(_Frozen):
     """Jordan block sizes grouped by eigenvalue slot, canonically ordered.
 
@@ -104,21 +103,6 @@ class Jnf(_Frozen):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.slots < other.slots
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.slots <= other.slots
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.slots > other.slots
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.slots >= other.slots
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Jnf":
@@ -227,11 +211,6 @@ class JnfTuple(_Frozen):
         return ";".join(str(e) for e in self.entries)
 
 
-def diagonalized(t: JnfTuple) -> JnfTuple:
-    """Entrywise corresponding diagonal tuple."""
-    return JnfTuple.from_pmv([corresponding_diagonal(e) for e in t.entries])
-
-
 def parse_pmv(text: str) -> JnfTuple:
     segments = [seg for seg in text.split(";") if seg.strip()]
     return JnfTuple.from_pmv([normalize(parse_parts(seg)) for seg in segments])
@@ -246,16 +225,8 @@ def jnf_tuple_json(t: JnfTuple) -> str:
     return '{"entries":[' + ",".join([_jnf_json(e) for e in t.entries]) + f'],"n":{t.n}}}'
 
 
-def jnf_to_dict(j: Jnf) -> dict:
-    return json.loads(_jnf_json(j))
-
-
 def jnf_from_dict(data: dict) -> Jnf:
     return Jnf.from_blocks(require_key(data, "eigenvalues"))
-
-
-def jnf_tuple_to_dict(t: JnfTuple) -> dict:
-    return json.loads(jnf_tuple_json(t))
 
 
 def jnf_tuple_from_dict(data: dict) -> JnfTuple:

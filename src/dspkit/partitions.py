@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import total_ordering
 from typing import Iterable, Iterator
 
 #: Hard cap on partition size; keeps n**2 arithmetic trivially safe everywhere.
@@ -21,6 +22,7 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+@total_ordering
 class Partition(_Frozen):
     """A non-increasing tuple of positive ints (no ``bool`` or ``float``).  The
     empty partition is allowed.
@@ -62,21 +64,6 @@ class Partition(_Frozen):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.parts < other.parts
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts <= other.parts
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts > other.parts
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts >= other.parts
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)

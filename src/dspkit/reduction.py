@@ -23,12 +23,11 @@ rebuilt in one pass by ``Jnf.diagonal``; a Jordan entry is cut block by block.
 
 ``trace_json`` writes a trace's compact, sorted-key JSON text directly, ints,
 booleans and ``null`` inline and each state through ``jnf_tuple_json``; it is the
-one definition of the trace schema, and ``trace_to_dict`` parses its output.
+one definition of the trace schema.
 """
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -287,8 +286,3 @@ def trace_json(trace: ReductionTrace) -> str:
     v = trace.verdict
     return (f'{{"steps":[{",".join(steps)}],"verdict":{{"at_step":{v.at_step},'
             f'"reason":"{v.reason.value}","solvable":{_JSON_BOOL[v.solvable]}}}}}')
-
-
-def trace_to_dict(trace: ReductionTrace) -> dict:
-    """Stable JSON-ready form of a trace: ``trace_json``'s text, parsed."""
-    return json.loads(trace_json(trace))

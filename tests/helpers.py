@@ -20,6 +20,9 @@ from dspkit import (
     Jnf,
     JnfTuple,
     ResourceLimitError,
+    corresponding_diagonal,
+    nongenericity_witness,
+    trace_condition,
 )
 from dspkit.reduction import solvable_pmv
 
@@ -206,6 +209,16 @@ def reference_psi_step(blocks, pick=None):
                 slots.append(tuple(slot))
         out.append(sorted(slots, reverse=True))
     return out
+
+
+def diagonalized(t: JnfTuple) -> JnfTuple:
+    """Entrywise corresponding diagonal tuple."""
+    return JnfTuple.from_pmv([corresponding_diagonal(e) for e in t.entries])
+
+
+def is_generic(a: EigenvalueAssignment) -> bool:
+    """The trace condition holds and no sub-selection relation does."""
+    return trace_condition(a) and nongenericity_witness(a) is None
 
 
 def trace_dict_oracle(trace) -> dict:

@@ -34,11 +34,9 @@ from dspkit import (
     corresponding_diagonal,
     decide,
     defect,
-    diagonalized,
     enumerate_rigid,
     gcd_obstruction,
     generate_generic,
-    is_generic,
     nongenericity_witness,
     series,
     trace_condition,
@@ -50,6 +48,8 @@ from helpers import (
     all_jnfs,
     case_omega,
     centralizer_dim_oracle,
+    diagonalized,
+    is_generic,
     partitions_of,
     random_jnf_tuple,
     rational_assignment,

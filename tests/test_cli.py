@@ -158,6 +158,12 @@ _JORDAN = json.dumps({"n": 5, "entries": [
      "026511aebe55499a67923bb21ff8787bc23b52f621c16972779039abcea1e59a"),
     (["decide", "(1,1,1);(1,1,1);(1,1,1)"],
      "f58b29f0852e5cd2dcc433966b6af04712dff57773e71746af8ee13af4f9c505"),
+    # beta fails at step 0, with a negative margin
+    (["trace", "(3,1);(3,1);(3,1);(1,1,1,1)"],
+     "897f7f0475b9a486faae21788cc9767ef686c03f1ec9b612eb1533812132b3d4"),
+    # the scalar first entry dropped, then alpha fails
+    (["trace", "(2);(1,1);(1,1)"],
+     "aa58ded5afef74b9f507ed56839f3091bace0f8409295a15c704310c396a0f75"),
 ])
 def test_text_output_is_byte_stable(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)

@@ -18,7 +18,6 @@ from dspkit import (
     candidate_assignment,
     gcd_obstruction,
     generate_generic,
-    is_generic,
     nongenericity_witness,
     series,
     trace_condition,
@@ -26,6 +25,7 @@ from dspkit import (
 import dspkit.genericity as genericity
 from dspkit.genericity import _search_witness, _weighted_subvectors
 from helpers import (
+    is_generic,
     naive_witness,
     partitions_of,
     planted_assignment,

@@ -1,3 +1,7 @@
+import itertools
+import json
+import operator
+
 import pytest
 
 from dspkit import (
@@ -8,15 +12,13 @@ from dspkit import (
     ResourceLimitError,
     Verdict,
     corresponding_diagonal,
-    diagonalized,
     dual,
     jnf_tuple_from_dict,
-    jnf_tuple_to_dict,
     parse_pmv,
 )
-from dspkit.jnf import _ones
+from dspkit.jnf import _ones, jnf_tuple_json
 from dspkit.partitions import MAX_SIZE, normalize
-from helpers import all_jnfs, centralizer_dim_oracle, partitions_of, shape_fields
+from helpers import all_jnfs, centralizer_dim_oracle, diagonalized, partitions_of, shape_fields
 
 
 def mv(*parts):
@@ -99,13 +101,24 @@ def test_shapes_compare_by_their_one_field_and_are_immutable():
     assert p == Partition([2, 1]) and hash(p) == hash(((2, 1),))
     assert hash(j) == hash((j.slots,)) and hash(t) == hash((t.entries,))
     assert Partition((1,)) != (1,) and j != j.slots and t != t.entries
-    with pytest.raises(TypeError):
-        Partition((1,)) < (1,)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(Partition((1,)), (1,))
+        with pytest.raises(TypeError):
+            op(j, j.slots)
     # slots are sorted descending by their parts; shapes order by their slots
     assert [s.parts for s in j.slots] == [(3,), (2,), (1, 1, 1), (1, 1)]
     assert sorted([Jnf.from_blocks([[2]]), mv(2), mv(1, 1)]) == [
         mv(1, 1), mv(2), Jnf.from_blocks([[2]])]
     assert Partition() < Partition((1,)) <= Partition((1, 1)) and mv(2) >= mv(1, 1) < mv(1, 1, 1)
+    # all four operators follow the tuple order of the one field, across sizes
+    parts = [Partition(q) for n in range(6) for q in partitions_of(n)]
+    shapes = [x for n in range(1, 6) for x in all_jnfs(n)]
+    for pool, field in ((parts, "parts"), (shapes, "slots")):
+        for a, b in itertools.product(pool, repeat=2):
+            fa, fb = getattr(a, field), getattr(b, field)
+            assert ((a < b, a <= b, a > b, a >= b)
+                    == (fa < fb, fa <= fb, fa > fb, fa >= fb)), (a, b)
     assert repr(p) == "Partition(parts=(2, 1))"
     assert repr(t) == ("JnfTuple(entries=(Jnf(slots=(Partition(parts=(1,)), Partition(parts=(1,)))), "
                        "Jnf(slots=(Partition(parts=(1, 1)),))))")
@@ -192,7 +205,7 @@ def test_pmv_text_round_trip():
 
 def test_tuple_json_round_trip():
     t = JnfTuple((Jnf.from_blocks([[4, 2, 2], [5, 1]]), mv(13, 1)))
-    data = jnf_tuple_to_dict(t)
+    data = json.loads(jnf_tuple_json(t))
     assert data["n"] == 14
     assert jnf_tuple_from_dict(data) == t
     with pytest.raises(ValueError):

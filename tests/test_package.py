@@ -16,12 +16,12 @@ EXPORTS = sorted([
     "Verdict", "all_series_ids",
     "assignment_from_dict", "assignment_to_dict", "candidate_assignment",
     "catalog_lines", "check_conditions", "corresponding_diagonal", "decide",
-    "defect", "diagonalized", "disjoint_sum", "dual", "enumerate_rigid",
-    "gcd_obstruction", "generate_generic", "identify", "is_generic", "is_rigid", "jnf_from_dict",
-    "jnf_to_dict", "jnf_tuple_from_dict", "jnf_tuple_to_dict", "min_d_mv",
+    "defect", "disjoint_sum", "dual", "enumerate_rigid",
+    "gcd_obstruction", "generate_generic", "identify", "is_rigid", "jnf_from_dict",
+    "jnf_tuple_from_dict", "min_d_mv",
     "nongenericity_witness", "normalize", "parse_partition", "parse_pmv", "parse_series_id",
     "psi_step", "series", "solvable_pmv", "trace_condition",
-    "trace_to_dict", "verify_chain", "verify_step",
+    "verify_chain", "verify_step",
 ])
 
 
@@ -86,12 +86,14 @@ def _newly_loaded(body: str) -> list[str]:
      ["cli", "errors", "genericity"]),
     (["decide", "(1,1);(1,1);(1,1)"],
      ["catalog", "cli", "errors", "jnf", "partitions", "reduction"]),
+    (["trace", "(1,1);(1,1);(1,1)"],
+     ["catalog", "cli", "errors", "jnf", "partitions", "reduction"]),
     (["enum-rigid", "--n", "4", "--entries", "3"],
      ["catalog", "cli", "errors", "jnf", "partitions", "reduction"]),
     (["catalog-verify", "--max-n", "6"],
      ["catalog", "cli", "errors", "jnf", "partitions", "reduction"]),
-], ids=["import", "help", "dual", "generic-gen", "generic-check", "decide", "enum-rigid",
-        "catalog-verify"])
+], ids=["import", "help", "dual", "generic-gen", "generic-check", "decide", "trace",
+        "enum-rigid", "catalog-verify"])
 def test_start_up_loads_only_what_the_command_runs(argv, submodules):
     body = "import dspkit" if argv is None else _MAIN.format(argv=argv)
     loaded = _newly_loaded(body)

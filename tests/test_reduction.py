@@ -14,15 +14,14 @@ from dspkit import (
     all_series_ids,
     check_conditions,
     decide,
-    diagonalized,
     parse_pmv,
     psi_step,
     series,
     solvable_pmv,
-    trace_to_dict,
 )
 from helpers import (
     all_jnfs,
+    diagonalized,
     is_positive_root,
     partitions_of,
     random_jnf_tuple,
@@ -254,7 +253,7 @@ def test_decide_traces_do_not_depend_on_cache_state():
     caches = (dspkit.reduction._cut, dspkit.jnf._ones, dspkit.jnf._slot_json)
 
     def dumped(t):
-        return json.dumps(trace_to_dict(decide(t)), sort_keys=True)
+        return dspkit.reduction.trace_json(decide(t))
 
     cold = []
     for t in tuples:
@@ -298,7 +297,7 @@ def _writes_its_oracle(t):
     want = trace_dict_oracle(trace)
     assert (dspkit.reduction.trace_json(trace)
             == json.dumps(want, sort_keys=True, separators=(",", ":"))), t
-    assert trace_to_dict(trace) == want, t
+    assert json.loads(dspkit.reduction.trace_json(trace)) == want, t
     return trace
 
 
@@ -321,7 +320,7 @@ def test_trace_json_matches_the_dict_oracle():
     # Jordan states carry no "pmv" key; the scalar third entry is dropped at step 0
     t = JnfTuple((Jnf.from_blocks([[2, 1], [1, 1]]), Jnf.from_blocks([[3, 1], [1]]),
                   Jnf.diagonal((5,)), Jnf.diagonal((3, 1, 1))))
-    steps = trace_to_dict(_writes_its_oracle(t))["steps"]
+    steps = json.loads(dspkit.reduction.trace_json(_writes_its_oracle(t)))["steps"]
     assert steps[0]["dropped"] == [2] and len(steps[0]["state"]["entries"]) == 3
     assert ["pmv" in step for step in steps] == [False, False, True, True]
     assert [step["n1"] for step in steps] == [3, 2, 1, None]
