@@ -12,7 +12,6 @@ One memoized builder makes each member's canonical int vectors once per process;
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -24,7 +23,7 @@ from .errors import (
     SeriesParameterError,
 )
 from .jnf import JnfTuple
-from .partitions import Partition, format_vectors, normalize
+from .partitions import MAX_SIZE, Partition, format_vectors, normalize
 from .reduction import psi_step, solvable_pmv
 
 #: The walk's one resource guard: a node with p parts that tries t part choices (the product
@@ -101,14 +100,22 @@ def parse_series_id(text: str) -> SeriesId:
 
 
 class _Family(NamedTuple):
-    # strictly increasing in the parameter, with n_of(1) >= 1, so the size-n member's
-    # parameter lies in 0..n: the per-size index finds it there by bisection
-    n_of: Callable[[int], int]
-    ok: Callable[[int], bool]
+    # instance p, for p in params, has size a*p + b with a >= 1, so the size-n member's
+    # parameter is the quotient of n - b by a, if that divides and lies in params
+    a: int
+    b: int
+    params: range
     build: Callable[[int], list[list[int]]]
     # the next instance in the reduction chain, asked only of instances of size > 1; an
     # ``int`` means the chain ends in that many size-1 entries with no catalog name
     succ: Callable[[int], SeriesId | int]
+
+    def n_of(self, param: int) -> int:
+        return self.a * param + self.b
+
+
+#: A stop past every parameter whose instance fits the partition cap.
+_END = MAX_SIZE + 1
 
 
 def _tw(twos: int, ones: int) -> list[int]:
@@ -117,166 +124,156 @@ def _tw(twos: int, ones: int) -> list[int]:
 
 FAMILIES: dict[str, _Family] = {
     # triples indexed by k
-    "W": _Family(lambda k: 3 * k + 1, lambda k: k >= 0,
-                 lambda k: [[k, k, k + 1]] * 3, lambda k: SeriesId("B", k)),
-    "B": _Family(lambda k: 3 * k - 1, lambda k: k >= 1,
+    "W": _Family(3, 1, range(0, _END), lambda k: [[k, k, k + 1]] * 3, lambda k: SeriesId("B", k)),
+    "B": _Family(3, -1, range(1, _END),
                  lambda k: [[k, k, k - 1]] * 3, lambda k: SeriesId("W", k - 1)),
-    "C": _Family(lambda k: 3 * k, lambda k: k >= 1,
+    "C": _Family(3, 0, range(1, _END),
                  lambda k: [[k, k, k], [k, k, k], [k, k + 1, k - 1]], lambda k: SeriesId("B", k)),
-    "D": _Family(lambda k: 4 * k + 1, lambda k: k >= 0,
+    "D": _Family(4, 1, range(0, _END),
                  lambda k: [[k, k, k, k + 1], [k, k, k, k + 1], [2 * k, 2 * k + 1]],
                  lambda k: SeriesId("E", k)),
-    "E": _Family(lambda k: 4 * k - 1, lambda k: k >= 1,
+    "E": _Family(4, -1, range(1, _END),
                  lambda k: [[k, k, k, k - 1], [k, k, k, k - 1], [2 * k, 2 * k - 1]],
                  lambda k: SeriesId("G", k - 1)),
-    "F": _Family(lambda k: 4 * k, lambda k: k >= 1,
+    "F": _Family(4, 0, range(1, _END),
                  lambda k: [[k] * 4, [k] * 4, [2 * k + 1, 2 * k - 1]], lambda k: SeriesId("E", k)),
-    "Phi": _Family(lambda k: 4 * k, lambda k: k >= 1,
-                   lambda k: [[k, k, k + 1, k - 1], [k] * 4, [2 * k, 2 * k]],
+    "Phi": _Family(4, 0, range(1, _END), lambda k: [[k, k, k + 1, k - 1], [k] * 4, [2 * k, 2 * k]],
                    lambda k: SeriesId("E", k)),
-    "G": _Family(lambda k: 4 * k + 2, lambda k: k >= 0,
+    "G": _Family(4, 2, range(0, _END),
                  lambda k: [[k, k, k + 1, k + 1], [k, k, k + 1, k + 1], [2 * k + 1, 2 * k + 1]],
                  lambda k: SeriesId("D", k)),
-    "H": _Family(lambda k: 6 * k + 1, lambda k: k >= 0,
+    "H": _Family(6, 1, range(0, _END),
                  lambda k: [[k] * 5 + [k + 1], [3 * k, 3 * k + 1], [2 * k, 2 * k, 2 * k + 1]],
                  lambda k: SeriesId("I", k)),
-    "I": _Family(lambda k: 6 * k - 1, lambda k: k >= 1,
+    "I": _Family(6, -1, range(1, _END),
                  lambda k: [[k] * 5 + [k - 1], [3 * k, 3 * k - 1], [2 * k, 2 * k, 2 * k - 1]],
                  lambda k: SeriesId("P", k)),
-    "J": _Family(lambda k: 6 * k, lambda k: k >= 1,
-                 lambda k: [[k] * 6, [3 * k + 1, 3 * k - 1], [2 * k] * 3],
+    "J": _Family(6, 0, range(1, _END), lambda k: [[k] * 6, [3 * k + 1, 3 * k - 1], [2 * k] * 3],
                  lambda k: SeriesId("I", k)),
-    "K": _Family(lambda k: 6 * k, lambda k: k >= 1,
+    "K": _Family(6, 0, range(1, _END),
                  lambda k: [[k] * 6, [3 * k, 3 * k], [2 * k, 2 * k + 1, 2 * k - 1]],
                  lambda k: SeriesId("I", k)),
-    "L": _Family(lambda k: 6 * k, lambda k: k >= 1,
+    "L": _Family(6, 0, range(1, _END),
                  lambda k: [[k] * 4 + [k + 1, k - 1], [3 * k, 3 * k], [2 * k] * 3],
                  lambda k: SeriesId("I", k)),
-    "V": _Family(lambda k: 6 * k + 2, lambda k: k >= 0,
+    "V": _Family(6, 2, range(0, _END),
                  lambda k: [[k] * 4 + [k + 1, k + 1], [3 * k + 1, 3 * k + 1],
                             [2 * k, 2 * k + 1, 2 * k + 1]],
                  lambda k: SeriesId("H", k)),
-    "N": _Family(lambda k: 6 * k + 3, lambda k: k >= 0,
+    "N": _Family(6, 3, range(0, _END),
                  lambda k: [[k] * 3 + [k + 1] * 3, [3 * k + 1, 3 * k + 2], [2 * k + 1] * 3],
                  lambda k: SeriesId("V", k)),
-    "P": _Family(lambda k: 6 * k - 2, lambda k: k >= 1,
+    "P": _Family(6, -2, range(1, _END),
                  lambda k: [[k] * 4 + [k - 1] * 2, [3 * k - 1, 3 * k - 1],
                             [2 * k, 2 * k - 1, 2 * k - 1]],
                  lambda k: SeriesId("N", k - 1)),
     # quadruples / quintuple indexed by k; R_1's fourth vector degenerates to a
     # scalar, so R starts at 2
-    "R": _Family(lambda k: 2 * k, lambda k: k >= 2,
+    "R": _Family(2, 0, range(2, _END),
                  lambda k: [[k, k]] * 3 + [[k + 1, k - 1]], lambda k: SeriesId("S", k - 1)),
-    "S": _Family(lambda k: 2 * k + 1, lambda k: k >= 0,
-                 lambda k: [[k + 1, k]] * 4, lambda k: SeriesId("S", k - 1)),
-    "T": _Family(lambda k: 4 * k, lambda k: k >= 1,
-                 lambda k: [[2 * k + 1, 2 * k - 1]] + [[3 * k, k]] * 4,
+    "S": _Family(2, 1, range(0, _END), lambda k: [[k + 1, k]] * 4, lambda k: SeriesId("S", k - 1)),
+    "T": _Family(4, 0, range(1, _END), lambda k: [[2 * k + 1, 2 * k - 1]] + [[3 * k, k]] * 4,
                  lambda k: 5 if k == 1 else SeriesId("S", k - 1)),
     # classical triples indexed by n
-    "HG": _Family(lambda n: n, lambda n: n >= 1,
+    "HG": _Family(1, 0, range(1, _END),
                   lambda n: [[n - 1, 1], [1] * n, [1] * n], lambda n: SeriesId("HG", n - 1)),
-    "OF": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
+    "OF": _Family(1, 0, range(3, _END, 2),
                   lambda n: [[(n + 1) // 2, (n - 1) // 2],
                              [(n - 1) // 2, (n - 1) // 2, 1], [1] * n],
                   lambda n: SeriesId("HG", 2) if n == 3 else SeriesId("EF", n - 1)),
-    "EF": _Family(lambda n: n, lambda n: n >= 2 and n % 2 == 0,
+    "EF": _Family(1, 0, range(2, _END, 2),
                   lambda n: [[n // 2, n // 2], [n // 2, (n - 2) // 2, 1], [1] * n],
                   lambda n: SeriesId("HG", 1) if n == 2 else SeriesId("OF", n - 1)),
-    "FF": _Family(lambda n: n, lambda n: 5 <= n <= 8,
-                  lambda n: [[2] + [1] * (n - 2), _tw(n - 4, 8 - n), [n - 2, 2]],
+    "FF": _Family(1, 0, range(5, 9), lambda n: [[2] + [1] * (n - 2), _tw(n - 4, 8 - n), [n - 2, 2]],
                   lambda n: {5: SeriesId("HG", 3), 6: SeriesId("Y1", 4),
                              7: SeriesId("Z2", 5), 8: SeriesId("Gamma1", 6)}[n]),
-    "OG": _Family(lambda k: 2 * k + 1, lambda k: k >= 1,
-                  lambda k: [_tw(k - 1, 3), _tw(k, 1), [2 * k - 1, 1, 1]],
+    "OG": _Family(2, 1, range(1, _END), lambda k: [_tw(k - 1, 3), _tw(k, 1), [2 * k - 1, 1, 1]],
                   lambda k: SeriesId("HG", 2) if k == 1 else SeriesId("OG", k - 1)),
     # the (n+1)-entry hook series
-    "Star": _Family(lambda n: n, lambda n: n >= 2,
-                    lambda n: [[n - 1, 1]] * (n + 1), lambda n: n + 1),
+    "Star": _Family(1, 0, range(2, _END), lambda n: [[n - 1, 1]] * (n + 1), lambda n: n + 1),
     # quadruple classification families (even/odd n)
-    "Xi": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Xi": _Family(1, 0, range(4, _END, 2),
                   lambda n: [[2] * (n // 2), [n // 2] * 2, [n // 2] * 2, [n - 1, 1]],
                   lambda n: SeriesId("Pi", n - 1)),
-    "Theta": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Theta": _Family(1, 0, range(4, _END, 2),
                      lambda n: [_tw((n - 2) // 2, 2), [n // 2] * 2,
                                 [n // 2 + 1, n // 2 - 1], [n - 1, 1]],
                      lambda n: SeriesId("HG", 2) if n == 4 else SeriesId("Theta", n - 2)),
-    "Psi6": _Family(lambda n: n, lambda n: n == 6,
-                    lambda n: [[2, 2, 2], [3, 3], [4, 1, 1], [5, 1]],
+    "Psi6": _Family(1, 0, range(6, 7), lambda n: [[2, 2, 2], [3, 3], [4, 1, 1], [5, 1]],
                     lambda n: SeriesId("Theta", 4)),
-    "Pi": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
+    "Pi": _Family(1, 0, range(3, _END, 2),
                   lambda n: [_tw((n - 1) // 2, 1), [(n + 1) // 2, (n - 1) // 2],
                              [(n + 1) // 2, (n - 1) // 2], [n - 1, 1]],
                   lambda n: SeriesId("S", 0) if n == 3 else SeriesId("Pi", n - 2)),
-    "Delta": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
+    "Delta": _Family(1, 0, range(3, _END, 2),
                      lambda n: [_tw((n - 1) // 2, 1)] * 2 + [[n - 1, 1]] * 2,
                      lambda n: SeriesId("S", 0) if n == 3 else SeriesId("Delta", n - 2)),
     # triple classification families, n even
-    "Gamma1": _Family(lambda n: n, lambda n: n >= 6 and n % 2 == 0,
+    "Gamma1": _Family(1, 0, range(6, _END, 2),
                       lambda n: [[2] * (n // 2), _tw((n - 6) // 2, 6), [n - 2, 2]],
                       lambda n: SeriesId("X1", 5) if n == 6 else SeriesId("Gamma1", n - 2)),
-    "Gamma2": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Gamma2": _Family(1, 0, range(4, _END, 2),
                       lambda n: [_tw((n - 2) // 2, 2), _tw((n - 4) // 2, 4), [n - 2, 2]],
                       lambda n: SeriesId("HG", 3) if n == 4 else SeriesId("Gamma2", n - 2)),
-    "Gamma3": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Gamma3": _Family(1, 0, range(4, _END, 2),
                       lambda n: [_tw((n - 2) // 2, 2)] * 2 + [[n - 2, 1, 1]],
                       lambda n: SeriesId("HG", 2) if n == 4 else SeriesId("Gamma3", n - 2)),
-    "Gamma4": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Gamma4": _Family(1, 0, range(4, _END, 2),
                       lambda n: [[2] * (n // 2), _tw((n - 4) // 2, 4), [n - 2, 1, 1]],
                       lambda n: SeriesId("HG", 3) if n == 4 else SeriesId("Gamma4", n - 2)),
-    "Y1": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Y1": _Family(1, 0, range(4, _END, 2),
                   lambda n: [_tw((n - 4) // 2, 4), [(n - 2) // 2, (n - 2) // 2, 2],
                              [n // 2, n // 2]],
                   lambda n: SeriesId("HG", 3) if n == 4 else SeriesId("Z2", n - 1)),
-    "Y2": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Y2": _Family(1, 0, range(4, _END, 2),
                   lambda n: [_tw((n - 2) // 2, 2), [(n - 2) // 2, (n - 2) // 2, 1, 1],
                              [n // 2, n // 2]],
                   lambda n: SeriesId("Z3", n - 1)),
-    "Y3": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Y3": _Family(1, 0, range(4, _END, 2),
                   lambda n: [_tw((n - 4) // 2, 4), [n // 2, (n - 4) // 2, 1, 1],
                              [n // 2, n // 2]],
                   lambda n: SeriesId("HG", 3) if n == 4 else SeriesId("Y6", n - 2)),
-    "Y4": _Family(lambda n: n, lambda n: n >= 6 and n % 2 == 0,
+    "Y4": _Family(1, 0, range(6, _END, 2),
                   lambda n: [_tw((n - 6) // 2, 6), [n // 2, (n - 4) // 2, 2],
                              [n // 2, n // 2]],
                   lambda n: SeriesId("Z2", 5) if n == 6 else SeriesId("Y7", n - 2)),
-    "Y5": _Family(lambda n: n, lambda n: n >= 2 and n % 2 == 0,
+    "Y5": _Family(1, 0, range(2, _END, 2),
                   lambda n: [_tw((n - 2) // 2, 2), [n // 2, (n - 2) // 2, 1],
                              [n // 2, (n - 2) // 2, 1]],
                   lambda n: SeriesId("HG", 1) if n == 2 else SeriesId("Y5", n - 2)),
-    "Y6": _Family(lambda n: n, lambda n: n >= 4 and n % 2 == 0,
+    "Y6": _Family(1, 0, range(4, _END, 2),
                   lambda n: [_tw((n - 4) // 2, 4), [(n - 2) // 2, (n - 2) // 2, 1, 1],
                              [(n + 2) // 2, (n - 2) // 2]],
                   lambda n: SeriesId("HG", 3) if n == 4 else SeriesId("Y3", n - 2)),
-    "Y7": _Family(lambda n: n, lambda n: n >= 6 and n % 2 == 0,
+    "Y7": _Family(1, 0, range(6, _END, 2),
                   lambda n: [_tw((n - 6) // 2, 6), [(n - 2) // 2, (n - 2) // 2, 2],
                              [(n + 2) // 2, (n - 2) // 2]],
                   lambda n: SeriesId("X1", 5) if n == 6 else SeriesId("Y4", n - 2)),
     # triple classification families, n odd
-    "X1": _Family(lambda n: n, lambda n: n >= 5 and n % 2 == 1,
+    "X1": _Family(1, 0, range(5, _END, 2),
                   lambda n: [_tw((n - 5) // 2, 5), _tw((n - 1) // 2, 1), [n - 2, 2]],
                   lambda n: SeriesId("Gamma2", 4) if n == 5 else SeriesId("X1", n - 2)),
-    "X2": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
-                  lambda n: [_tw((n - 3) // 2, 3)] * 2 + [[n - 2, 2]],
+    "X2": _Family(1, 0, range(3, _END, 2), lambda n: [_tw((n - 3) // 2, 3)] * 2 + [[n - 2, 2]],
                   lambda n: SeriesId("HG", 2) if n == 3 else SeriesId("X2", n - 2)),
-    "Z1": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
+    "Z1": _Family(1, 0, range(3, _END, 2),
                   lambda n: [_tw((n - 1) // 2, 1), [(n - 1) // 2, (n - 1) // 2, 1],
                              [(n - 1) // 2, (n - 1) // 2, 1]],
                   lambda n: SeriesId("Y5", n - 1)),
-    "Z2": _Family(lambda n: n, lambda n: n >= 5 and n % 2 == 1,
+    "Z2": _Family(1, 0, range(5, _END, 2),
                   lambda n: [_tw((n - 5) // 2, 5), [(n - 1) // 2, (n - 3) // 2, 2],
                              [(n + 1) // 2, (n - 1) // 2]],
                   lambda n: SeriesId("Gamma4", 4) if n == 5 else SeriesId("Z2", n - 2)),
-    "Z3": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
+    "Z3": _Family(1, 0, range(3, _END, 2),
                   lambda n: [_tw((n - 3) // 2, 3), [(n - 1) // 2, (n - 3) // 2, 1, 1],
                              [(n + 1) // 2, (n - 1) // 2]],
                   lambda n: SeriesId("HG", 2) if n == 3 else SeriesId("Z3", n - 2)),
-    "Z4": _Family(lambda n: n, lambda n: n >= 3 and n % 2 == 1,
+    "Z4": _Family(1, 0, range(3, _END, 2),
                   lambda n: [_tw((n - 3) // 2, 3), [(n - 1) // 2, (n - 1) // 2, 1],
                              [(n + 1) // 2, (n - 3) // 2, 1]],
                   lambda n: SeriesId("HG", 2) if n == 3 else SeriesId("Z4", n - 2)),
     # even-n quadruples that the classical Xi/Theta/Psi6 table misses; Lambda_4 would
     # be Theta_4
-    "Lambda": _Family(lambda n: n, lambda n: n >= 6 and n % 2 == 0,
+    "Lambda": _Family(1, 0, range(6, _END, 2),
                       lambda n: [[n - 1, 1], [n - 1, 1], [2] * (n // 2), _tw((n - 2) // 2, 2)],
                       lambda n: SeriesId("Theta", 4) if n == 6 else SeriesId("Lambda", n - 2)),
 }
@@ -289,7 +286,7 @@ _Vectors = tuple[tuple[int, ...], ...]
 def _member(sid: SeriesId, fam: _Family) -> _Vectors:
     """Canonical int vectors of instance ``sid`` as ``fam`` builds it, built once per
     process: keyed by the record too, so a patched ``FAMILIES`` entry builds anew."""
-    if not fam.ok(sid.param):
+    if sid.param not in fam.params:
         raise SeriesParameterError(f"parameter {sid.param} out of range for {sid.name}")
     n = fam.n_of(sid.param)
     mvs = tuple(sorted((tuple(sorted(filter(None, raw), reverse=True))
@@ -325,11 +322,10 @@ def series(sid: SeriesId | str) -> JnfTuple:
 def all_series_ids(max_n: int) -> Iterator[SeriesId]:
     """Every catalog instance of size up to ``max_n``, family by family."""
     for name, fam in FAMILIES.items():
-        param = 0
-        while fam.n_of(param) <= max_n:
-            if fam.ok(param):
-                yield SeriesId(name, param)
-            param += 1
+        for param in fam.params:
+            if fam.n_of(param) > max_n:
+                break
+            yield SeriesId(name, param)
 
 
 @functools.lru_cache(maxsize=_NAMES_CACHE_SIZE)
@@ -337,8 +333,8 @@ def _names_by_pmv(n: int) -> dict[_Vectors, tuple[str, ...]]:
     """Sorted names of the size-``n`` catalog instances, keyed by canonical vectors."""
     index: dict[_Vectors, list[str]] = {}
     for name, fam in FAMILIES.items():
-        param = bisect.bisect_left(range(n + 1), n, key=fam.n_of)
-        if param <= n and fam.n_of(param) == n and fam.ok(param):
+        param, rest = divmod(n - fam.b, fam.a)
+        if not rest and param in fam.params:
             sid = SeriesId(name, param)
             index.setdefault(_member(sid, fam), []).append(str(sid))
     return {key: tuple(sorted(names)) for key, names in index.items()}

@@ -7,11 +7,11 @@ multiplicity vector (one part per eigenvalue).
 
 Shapes are immutable and may be shared: ``Jnf.diagonal`` reuses one all-ones
 slot per multiplicity, and the reduction step reuses the shapes it has already
-built.  ``Jnf.diagonal`` builds a diagonal shape in one pass from its vector, with
-the multiplicity vector already filled in; any other ``Jnf`` fills its vector, and
-every ``Jnf`` its text and hash, into slots on first use, so a shape that is never
-printed or hashed never pays for them.  Never mutate a ``Partition`` or ``Jnf``
-with ``object.__setattr__``.
+built.  ``Jnf.diagonal`` builds a diagonal shape in one pass from its vector, which
+it keeps; the general constructor builds a diagonal shape's vector from its slots.
+A ``Jnf`` fills its text into a slot on first use, so a shape that is never printed
+never pays for it, and hashes its slots on every call.  Never mutate a ``Partition``
+or ``Jnf`` with ``object.__setattr__``.
 
 ``jnf_tuple_json`` writes a tuple's compact JSON text directly, joining each
 slot's cached ``[a,b,...]`` text; it is the one definition of the JSON form.
@@ -51,8 +51,8 @@ class Jnf(_Frozen):
     ``is_diagonal``, computed on construction.
     """
 
-    # _mv, _text and _hash are filled on first use; until then reading one raises AttributeError
-    __slots__ = ("slots", "n", "r", "d", "is_diagonal", "_mv", "_text", "_hash")
+    # _mv is set on diagonal shapes only; _text is filled on first use (reading it raises before)
+    __slots__ = ("slots", "n", "r", "d", "is_diagonal", "_mv", "_text")
 
     def __init__(self, slots: tuple[Partition, ...]) -> None:
         slots = tuple(sorted(slots, key=attrgetter("parts"), reverse=True))
@@ -82,6 +82,8 @@ class Jnf(_Frozen):
         object.__setattr__(self, "r", n - most)
         object.__setattr__(self, "d", n * n - centralizer)
         object.__setattr__(self, "is_diagonal", diagonal)
+        if diagonal:
+            object.__setattr__(self, "_mv", Partition(tuple(len(s.parts) for s in slots)))
 
     def __repr__(self) -> str:
         return f"Jnf(slots={self.slots!r})"
@@ -92,12 +94,7 @@ class Jnf(_Frozen):
         return self.slots == other.slots
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.slots,))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash((self.slots,))
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
@@ -134,12 +131,7 @@ class Jnf(_Frozen):
     def multiplicity_vector(self) -> Partition:
         if not self.is_diagonal:
             raise ValueError("only diagonal shapes have a multiplicity vector")
-        try:
-            return self._mv
-        except AttributeError:
-            mv = Partition(tuple(len(s.parts) for s in self.slots))
-            object.__setattr__(self, "_mv", mv)
-            return mv
+        return self._mv
 
     def eigenvalue_multiplicities(self) -> tuple[int, ...]:
         """Total size per eigenvalue slot, in canonical slot order."""

@@ -142,13 +142,7 @@ def _expected_labels(name: str, param: int) -> list[str]:
 def _first_instances(name: str, how_many: int = 9) -> list[int]:
     # nine instances cover parameters 1..8 even for families that start at 0
     fam = FAMILIES[name]
-    out = []
-    p = 0
-    while len(out) < how_many and fam.n_of(p) <= 200:
-        if fam.ok(p):
-            out.append(p)
-        p += 1
-    return out
+    return [p for p in fam.params[:how_many] if fam.n_of(p) <= 200]
 
 
 def test_criterion_01_chain_reproduction():

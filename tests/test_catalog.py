@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -126,7 +127,9 @@ def test_series_examples():
 
 
 def test_series_parameter_errors():
-    for bad in ["R_1", "FF_9", "Xi_7", "B_0", "Theta_3"]:
+    # below the first parameter, of the wrong parity, one past the last
+    for bad in ["R_1", "FF_9", "Xi_7", "B_0", "Theta_3", "W_-1", "HG_0", "OF_4", "EF_3", "Y5_3",
+                "X1_3", "FF_4", "Psi6_7", "Star_1"]:
         with pytest.raises(SeriesParameterError):
             series(bad)
     with pytest.raises(ValueError):
@@ -158,12 +161,9 @@ def test_identify_matches_brute_force():
 
 
 def test_size_maps_are_strictly_increasing():
-    # the premise of the per-size index's bisection: the size-n member's parameter
-    # is the only one in 0..n with that size
+    # the premise of all_series_ids' early stop: sizes grow along params from size >= 1
     for name, fam in FAMILIES.items():
-        sizes = [fam.n_of(param) for param in range(201)]
-        assert all(a < b for a, b in zip(sizes, sizes[1:])), name
-        assert sizes[1] >= 1, name
+        assert fam.a >= 1 and fam.n_of(fam.params[0]) >= 1, name
 
 
 def test_names_by_pmv_matches_a_scan_of_all_series_ids():
@@ -175,28 +175,28 @@ def test_names_by_pmv_matches_a_scan_of_all_series_ids():
         assert _names_by_pmv(n) == {key: tuple(sorted(names)) for key, names in want.items()}, n
 
 
-def test_names_by_pmv_bisects_each_family(monkeypatch):
+def test_names_by_pmv_builds_only_the_named_members(monkeypatch):
     import dspkit.catalog as cat
 
-    calls = 0
+    builds = []
 
-    def counted(n_of):
+    def counted(name, build):
         def wrapper(param):
-            nonlocal calls
-            calls += 1
-            return n_of(param)
+            builds.append(SeriesId(name, param))
+            return build(param)
         return wrapper
 
+    # patched records share no memoized member with earlier calls
     for name, fam in FAMILIES.items():
-        monkeypatch.setitem(cat.FAMILIES, name, fam._replace(n_of=counted(fam.n_of)))
+        monkeypatch.setitem(cat.FAMILIES, name, fam._replace(build=counted(name, fam.build)))
     _names_by_pmv.cache_clear()
     try:
         index = _names_by_pmv(400)
     finally:
         _names_by_pmv.cache_clear()
+    named = [sid for sid in all_series_ids(400) if FAMILIES[sid.name].n_of(sid.param) == 400]
+    assert builds == named and len(named) == 23
     assert index[tuple(mv.parts for mv in series_mvs(SeriesId("HG", 400)))] == ("HG_400",)
-    # at most 9 probes to bisect 0..400, one to test the hit, one in series_mvs
-    assert calls <= len(FAMILIES) * ((400).bit_length() + 2)
 
 
 def test_names_by_pmv_keeps_a_bounded_number_of_indexes():
@@ -215,6 +215,11 @@ def test_names_by_pmv_keeps_a_bounded_number_of_indexes():
 
 def test_all_series_ids_counts():
     assert [len(list(all_series_ids(m))) for m in (30, 40, 60)] == [553, 746, 1134]
+    # perfbench's batch reads catalog lines of all_series_ids(40) by position: pin the order
+    digests = [hashlib.sha256("\n".join(map(str, all_series_ids(m))).encode()).hexdigest()
+               for m in (40, 60)]
+    assert digests == ["30630d77b56feb36208de76acfa3ebf8b7fa99183bcc4d63a55c2a0180bf0df6",
+                       "ff673d7754c0ea6b0a68c997f61fdf33abbf7c3ee7cf823480cd5d689648bc16"]
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +266,7 @@ def test_each_successor_is_a_smaller_instance_or_a_ones_count():
             assert nxt >= 2, sid
         else:
             assert isinstance(nxt, SeriesId), sid
-            assert FAMILIES[nxt.name].ok(nxt.param), sid
+            assert nxt.param in FAMILIES[nxt.name].params, sid
             assert FAMILIES[nxt.name].n_of(nxt.param) < n, sid
 
 

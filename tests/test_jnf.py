@@ -133,9 +133,9 @@ def test_shapes_compare_by_their_one_field_and_are_immutable():
     assert v == (solvable, reason, at_step) == (True, Reason.OMEGA_HOLDS, 0)
 
 
-def test_lazily_filled_fields_are_stable_and_frozen():
-    # text, multiplicity vector and hash are filled on first use; equal shapes built
-    # apart (interned all-ones slots or not) agree on them, before and after
+def test_derived_fields_are_stable_and_frozen():
+    # text (filled on first use), multiplicity vector and hash of equal shapes built
+    # apart (interned all-ones slots or not) agree, before and after printing
     for blocks in ([[1, 1, 1], [1, 1], [1]], [[2, 1], [1, 1], [3]], [[1]]):
         a, b = Jnf.from_blocks(blocks), Jnf.from_blocks(blocks)
         for name in ("_mv", "_text", "_hash"):
