@@ -316,7 +316,7 @@ def series(sid: SeriesId | str) -> JnfTuple:
     """Build the family instance as a canonicalized diagonal tuple."""
     if isinstance(sid, str):
         sid = parse_series_id(sid)
-    return JnfTuple.from_pmv(series_mvs(sid))
+    return JnfTuple.from_pmv(_vectors(sid))
 
 
 def all_series_ids(max_n: int) -> Iterator[SeriesId]:

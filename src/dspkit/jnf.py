@@ -5,16 +5,18 @@ carrying the partition of its Jordan block sizes.  Diagonalizable classes are th
 special case where every block has size 1; those are encoded compactly by a
 multiplicity vector (one part per eigenvalue).
 
-Shapes are immutable and may be shared: ``Jnf.diagonal`` reuses one all-ones
-slot per multiplicity, and the reduction step reuses the shapes it has already
-built.  ``Jnf.diagonal`` builds a diagonal shape in one pass from its vector, which
-it keeps; the general constructor builds a diagonal shape's vector from its slots.
-A ``Jnf`` fills its text into a slot on first use, so a shape that is never printed
-never pays for it, and hashes its slots on every call.  Never mutate a ``Partition``
-or ``Jnf`` with ``object.__setattr__``.
+Shapes are immutable and may be shared: ``Jnf.diagonal`` hands out one shape per
+multiplicity vector from a bounded table, built and validated on its first request,
+whose slots are interned all-ones slots, one per multiplicity; the reduction step
+reuses the shapes it has already built.  The general constructor builds a diagonal
+shape's vector from its slots.  A ``Jnf`` fills its hash, its text and its JSON text
+into slots on first use, so a shape that is never hashed or printed never pays for
+them, and a shared one pays once.  Never mutate a ``Partition`` or ``Jnf`` with
+``object.__setattr__``.
 
 ``jnf_tuple_json`` writes a tuple's compact JSON text directly, joining each
-slot's cached ``[a,b,...]`` text; it is the one definition of the JSON form.
+entry's cached ``{"eigenvalues":[...]}`` text, itself joined from cached ``[a,b,...]``
+slot texts; it is the one definition of the JSON form.
 """
 
 from __future__ import annotations
@@ -30,6 +32,14 @@ from .partitions import Partition, _Frozen, disjoint_sum, dual, normalize, parse
 #: Without it a long-lived process could hold one slot of every size up to
 #: ``MAX_SIZE``, about 400 MB.
 _ONES_CACHE_SIZE = 256
+#: Bound on the table of diagonal shapes, keyed by the vector as given, chosen by
+#: measurement: perfbench's `batch` (seed 7919) asks for 1,597 distinct keys and
+#: `catalog-verify` (--max-n 60) for 1,682, which 2048 keeps.  Deciding and naming the
+#: batch in process took 60-61 ms with 2048 or 4096 entries, 61-63 ms with 1024,
+#: 64-65 ms with 512 and 71-72 ms with none; catalog-verify 34-35 ms with 2048 and
+#: 58 ms with none (5 and 3 fresh processes, Python 3.11, 2 cores).
+_DIAGONAL_CACHE_SIZE = 2048
+_INT = frozenset((int,))
 
 
 @lru_cache(maxsize=_ONES_CACHE_SIZE)
@@ -39,7 +49,8 @@ def _ones(m: int) -> Partition:
 
 @lru_cache(maxsize=_ONES_CACHE_SIZE)
 def _slot_json(parts: tuple[int, ...]) -> str:
-    # the states of a batch share their all-ones slots, so a few hundred texts cover it
+    # a shape's JSON text is built once, but its all-ones slots recur across shapes:
+    # sharing their text saved 3 ms of 56 on perfbench's `batch` (seed 7919) in process
     return "[" + ",".join(map(str, parts)) + "]"
 
 
@@ -51,8 +62,9 @@ class Jnf(_Frozen):
     ``is_diagonal``, computed on construction.
     """
 
-    # _mv is set on diagonal shapes only; _text is filled on first use (reading it raises before)
-    __slots__ = ("slots", "n", "r", "d", "is_diagonal", "_mv", "_text")
+    # _mv is set on diagonal shapes only; _hash, _text and _json are filled on first
+    # use (reading one raises before)
+    __slots__ = ("slots", "n", "r", "d", "is_diagonal", "_mv", "_hash", "_text", "_json")
 
     def __init__(self, slots: tuple[Partition, ...]) -> None:
         slots = tuple(sorted(slots, key=attrgetter("parts"), reverse=True))
@@ -94,7 +106,12 @@ class Jnf(_Frozen):
         return self.slots == other.slots
 
     def __hash__(self) -> int:
-        return hash((self.slots,))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.slots,))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
@@ -107,26 +124,19 @@ class Jnf(_Frozen):
 
     @classmethod
     def diagonal(cls, mv: Partition | Iterable[int]) -> "Jnf":
-        """The diagonal shape of multiplicity vector ``mv``, built in one pass.
+        """The diagonal shape of multiplicity vector ``mv``: shared, from a bounded table.
 
-        The validated vector's parts are already the canonical slot order, so
-        n, r and d are sum(m), n - m_1 and n^2 - sum(m^2), and the vector itself
-        is kept as ``_mv``.  Equal multiplicities share one interned all-ones slot.
+        ``mv`` may be unsorted and hold zeros, as ``normalize`` takes it; every
+        order of one vector gets the same shape while the table holds it.  A miss
+        validates the vector and builds the shape in one pass: its parts are the
+        canonical slot order, so n, r and d are sum(m), n - m_1 and n^2 - sum(m^2).
         """
-        mv = mv if isinstance(mv, Partition) else normalize(mv)
-        parts = mv.parts
-        if not parts:
-            raise ValueError("a Jordan shape needs at least one eigenvalue slot")
-        self = object.__new__(cls)
-        put = object.__setattr__
-        n = mv.size
-        put(self, "slots", tuple(map(_ones, parts)))
-        put(self, "n", n)
-        put(self, "r", n - parts[0])
-        put(self, "d", n * n - sum(map(mul, parts, parts)))
-        put(self, "is_diagonal", True)
-        put(self, "_mv", mv)
-        return self
+        parts = mv.parts if isinstance(mv, Partition) else tuple(mv)
+        if _INT.issuperset(map(type, parts)):
+            return _diagonal(parts)
+        # True == 1 and 2.0 == 2, so such parts would find an int shape in the table;
+        # the uncached build rejects them
+        return _diagonal.__wrapped__(parts)
 
     def multiplicity_vector(self) -> Partition:
         if not self.is_diagonal:
@@ -149,6 +159,25 @@ class Jnf(_Frozen):
                     else "{" + ",".join(str(s) for s in self.slots) + "}")
             object.__setattr__(self, "_text", text)
             return text
+
+
+@lru_cache(maxsize=_DIAGONAL_CACHE_SIZE)
+def _diagonal(parts: tuple[int, ...]) -> Jnf:
+    mv = normalize(parts)
+    if mv.parts != parts:
+        return _diagonal(mv.parts)  # one shape per vector, whatever order it came in
+    if not parts:
+        raise ValueError("a Jordan shape needs at least one eigenvalue slot")
+    self = object.__new__(Jnf)
+    put = object.__setattr__
+    n = mv.size
+    put(self, "slots", tuple(map(_ones, parts)))
+    put(self, "n", n)
+    put(self, "r", n - parts[0])
+    put(self, "d", n * n - sum(map(mul, parts, parts)))
+    put(self, "is_diagonal", True)
+    put(self, "_mv", mv)
+    return self
 
 
 def corresponding_diagonal(j: Jnf) -> Partition:
@@ -205,11 +234,16 @@ class JnfTuple(_Frozen):
 
 def parse_pmv(text: str) -> JnfTuple:
     segments = [seg for seg in text.split(";") if seg.strip()]
-    return JnfTuple.from_pmv([normalize(parse_parts(seg)) for seg in segments])
+    return JnfTuple.from_pmv([parse_parts(seg) for seg in segments])
 
 
 def _jnf_json(j: Jnf) -> str:
-    return '{"eigenvalues":[' + ",".join([_slot_json(s.parts) for s in j.slots]) + "]}"
+    try:
+        return j._json
+    except AttributeError:
+        text = '{"eigenvalues":[' + ",".join([_slot_json(s.parts) for s in j.slots]) + "]}"
+        object.__setattr__(j, "_json", text)
+        return text
 
 
 def jnf_tuple_json(t: JnfTuple) -> str:

@@ -19,7 +19,7 @@ Reduction chains share long suffixes, so the per-entry cut of ``psi_step`` is
 memoized: the shapes in the tuples that ``psi_step`` and ``decide`` return may
 be shared objects.  They are immutable; never mutate them.  A diagonal entry is
 cut on its multiplicity vector, the largest multiplicity lowered by n - n1, and
-rebuilt in one pass by ``Jnf.diagonal``; a Jordan entry is cut block by block.
+looked up in ``Jnf.diagonal``'s table; a Jordan entry is cut block by block.
 
 ``trace_json`` writes a trace's compact, sorted-key JSON text directly, ints,
 booleans and ``null`` inline and each state through ``jnf_tuple_json``; it is the
@@ -39,8 +39,9 @@ from .partitions import normalize
 #: Bound on the memoized per-entry cuts, chosen by measurement: a `decide --file`
 #: of 500 mixed random and catalog lines (perfbench's `batch`, seed 7919) makes
 #: 5,528 cuts of 957 distinct (entry, slot, k) triples; deciding and naming its
-#: lines in process took 0.144 s with the cache and 0.201 s without (medians of
-#: 12 alternating runs, Python 3.11, 2 cores).
+#: lines in process took 52.8 ms with the cache and 53.7 ms without (medians of
+#: 12 alternating fresh processes, Python 3.11, 2 cores).  A chain that repeats no
+#: cut pays for hashing the keys: `decide` on HG_400 took 162 ms with it, 157 without.
 _CUT_CACHE_SIZE = 1024
 
 
@@ -86,16 +87,19 @@ class ReductionTrace(NamedTuple):
 
 def check_conditions(t: JnfTuple) -> ConditionReport:
     n = t.n
-    rs = [e.r for e in t.entries]
-    dsum = sum(e.d for e in t.entries)
+    rs = []
+    dsum = 0
+    for e in t.entries:
+        rs.append(e.r)
+        dsum += e.d
     rsum = sum(rs)
     alpha_slack = dsum - (2 * n * n - 2)
-    margins = tuple(rsum - r - n for r in rs)
+    margins = tuple([rsum - n - r for r in rs])
     omega_slack = rsum - 2 * n
     return ConditionReport(
         alpha=alpha_slack >= 0,
         alpha_slack=alpha_slack,
-        beta=all(m >= 0 for m in margins),
+        beta=min(margins) >= 0,
         beta_margins=margins,
         omega=omega_slack >= 0,
         omega_slack=omega_slack,

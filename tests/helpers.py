@@ -30,12 +30,12 @@ from dspkit.reduction import solvable_pmv
 ORACLE_MAX_SIZE = 8
 
 
-def fresh_python(*args: str) -> subprocess.CompletedProcess:
+def fresh_python(*args: str, **env_vars: str) -> subprocess.CompletedProcess:
     """``python *args`` in a new interpreter that imports the dspkit under test,
-    with text output captured."""
+    with ``env_vars`` added to its environment and text output captured."""
     src = str(Path(dspkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, **env_vars, PYTHONPATH=path)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=60)
 

@@ -30,6 +30,7 @@ from dspkit import (
     verify_step,
 )
 from dspkit.catalog import FAMILIES, SeriesId, _names_by_pmv, series_mvs
+from dspkit.partitions import MAX_SIZE
 from helpers import (
     case_omega,
     children_oracle,
@@ -129,11 +130,24 @@ def test_series_examples():
 def test_series_parameter_errors():
     # below the first parameter, of the wrong parity, one past the last
     for bad in ["R_1", "FF_9", "Xi_7", "B_0", "Theta_3", "W_-1", "HG_0", "OF_4", "EF_3", "Y5_3",
-                "X1_3", "FF_4", "Psi6_7", "Star_1"]:
+                "X1_3", "FF_4", "Psi6_7", "Star_1", "HG_10001"]:
         with pytest.raises(SeriesParameterError):
             series(bad)
     with pytest.raises(ValueError):
         parse_series_id("Nope_3")
+    # the last parameter of an unbounded family makes an instance of the size cap
+    assert series("HG_10000").n == MAX_SIZE
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: [[n, 1], [1] * n, [1] * n],       # one entry of size n + 1
+    lambda n: [[n - 1], [1] * n, [1] * n],      # one of size n - 1
+    lambda n: [[n + 1, -1], [1] * n, [1] * n],  # the right size, with a negative part
+], ids=["over", "under", "negative"])
+def test_member_rejects_a_builder_of_wrong_vectors(monkeypatch, build):
+    monkeypatch.setitem(FAMILIES, "HG", FAMILIES["HG"]._replace(build=build))
+    with pytest.raises(RuntimeError, match="^HG_5 does not build positive vectors of size 5$"):
+        series("HG_5")
 
 
 def test_identify_multi_names():

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from dspkit.catalog import series
+from dspkit.catalog import all_series_ids, series
 from dspkit.cli import main
 from dspkit.genericity import (
     ExactValue,
@@ -16,7 +16,7 @@ from dspkit.genericity import (
     trace_condition,
 )
 from dspkit.jnf import Jnf, JnfTuple
-from helpers import fresh_python, rational_assignment
+from helpers import fresh_python, rational_assignment, reference_psi_step
 
 
 def run(capsys, *argv):
@@ -85,35 +85,47 @@ def test_decide_batch_file_bad_line_continues(tmp_path, capsys):
     assert lines[3]["verdict"]["reason"] == "AlphaFails"
 
 
+def _random_parts(rng, n):
+    out = []
+    while n:
+        out.append(rng.randint(1, n))
+        n -= out[-1]
+    return out  # left unsorted: the reader normalizes
+
+
+def _pmv_line(mvs):
+    return json.dumps(";".join("(" + ",".join(map(str, mv)) + ")" for mv in mvs))
+
+
+def _diagonal_line(rng, n):
+    return _pmv_line([_random_parts(rng, n) for _ in range(rng.randint(3, 5))])
+
+
+def _jordan_line(rng, n):
+    return json.dumps({"n": n, "entries": [
+        {"eigenvalues": [_random_parts(rng, s) for s in _random_parts(rng, n)]}
+        for _ in range(rng.randint(3, 4))]})
+
+
+def _catalog_line(rng, name):
+    mvs = [list(mv) for mv in series(name).pmv()]
+    rng.shuffle(mvs)
+    return _pmv_line(mvs)
+
+
 def _pinned_batch() -> list[str]:
     """A fixed ``decide --file`` input: hand-picked verdicts, seeded random diagonal
     and Jordan lines, catalog instances with shuffled entries, one malformed line."""
     rng = random.Random(19)
-
-    def parts(n):
-        out = []
-        while n:
-            out.append(rng.randint(1, n))
-            n -= out[-1]
-        return out  # left unsorted: the reader normalizes
-
-    def text(mvs):
-        return json.dumps(";".join("(" + ",".join(map(str, mv)) + ")" for mv in mvs))
-
-    lines = [text(mvs) for mvs in (
+    lines = [_pmv_line(mvs) for mvs in (
         [[1], [1]], [[2, 1], [1, 1, 1], [1, 1, 1]], [[4, 4], [4, 4], [7, 1]],
         [[3, 2, 1, 1, 1, 1], [4, 4, 1], [4, 4, 1]], [[2], [1, 1], [1, 1]],
         [[3], [2, 1], [1, 1, 1]], [[1, 1, 1]] * 3)]
-    lines += [text([parts(n) for _ in range(rng.randint(3, 5))])
-              for n in (rng.randint(2, 24) for _ in range(30))]
-    lines += [json.dumps({"n": n, "entries": [{"eigenvalues": [parts(s) for s in parts(n)]}
-                                              for _ in range(rng.randint(3, 4))]})
-              for n in (rng.randint(2, 12) for _ in range(15))]
-    for name in ("W_4", "HG_9", "Lambda_12", "T_3", "Star_5", "Psi6", "Xi_10", "OG_4",
-                 "Gamma1_10", "Z2_9", "R_5", "P_3"):
-        mvs = [list(mv) for mv in series(name).pmv()]
-        rng.shuffle(mvs)
-        lines.append(text(mvs))
+    lines += [_diagonal_line(rng, n) for n in (rng.randint(2, 24) for _ in range(30))]
+    lines += [_jordan_line(rng, n) for n in (rng.randint(2, 12) for _ in range(15))]
+    lines += [_catalog_line(rng, name) for name in (
+        "W_4", "HG_9", "Lambda_12", "T_3", "Star_5", "Psi6", "Xi_10", "OG_4", "Gamma1_10",
+        "Z2_9", "R_5", "P_3")]
     lines.insert(20, '"(2,2;(3)"')
     return lines
 
@@ -127,6 +139,65 @@ def test_decide_batch_file_is_byte_stable(tmp_path, capsys):
         assert code == 2
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == "24fc3f240fcc0beca9fc71d45dc6e6475e921fa16ca213bd85884e004a575584")
+
+
+def _input_blocks(line: str) -> list[list[tuple[int, ...]]]:
+    """A ``decide --file`` line's tuple as per-entry block lists in canonical slot
+    order, read without dspkit: a vector's slots are all-ones, one per multiplicity."""
+    item = json.loads(line)
+    if isinstance(item, str):
+        slots = [[[1] * m for m in map(int, seg.strip("()").split(","))]
+                 for seg in item.split(";")]
+    else:
+        slots = [e["eigenvalues"] for e in item["entries"]]
+    return [sorted((tuple(sorted(filter(None, s), reverse=True)) for s in entry), reverse=True)
+            for entry in slots]
+
+
+def _audit_trace(blocks, payload):
+    """Check one ``decide --json`` payload from its text alone: step 0's state is the
+    input and each later one ``reference_psi_step`` of the state before it, the
+    step's ``dropped`` scalar entries removed (the state a ``DegenerateInput``
+    verdict stops at keeps them); sizes, ``n1`` and ``at_step`` agree."""
+    steps, verdict = payload["steps"], payload["verdict"]
+    assert verdict["at_step"] == len(steps) - 1
+    produced = blocks
+    for i, step in enumerate(steps):
+        n, dropped = step["n"], step["dropped"]
+        assert all(produced[j] == [(1,) * n] for j in dropped), (i, dropped)
+        want = produced
+        if not (verdict["reason"] == "DegenerateInput" and i == len(steps) - 1):
+            want = [entry for j, entry in enumerate(produced) if j not in dropped]
+        state = [[tuple(s) for s in e["eigenvalues"]] for e in step["state"]["entries"]]
+        assert state == want, i
+        assert n == step["state"]["n"] == sum(map(sum, state[0]))
+        if i + 1 < len(steps):
+            produced = reference_psi_step(state)
+            assert produced is not None and step["n1"] == steps[i + 1]["n"], i
+        else:
+            assert step["n1"] is None
+
+
+def test_decide_traces_pass_a_text_audit(tmp_path, capsys):
+    # a seeded mixed batch (half diagonal, a quarter Jordan, a quarter shuffled catalog
+    # instances) and every catalog instance to n=60
+    rng = random.Random(53)
+    catalog = list(all_series_ids(60))
+    lines = ([_diagonal_line(rng, rng.randint(2, 30)) for _ in range(250)]
+             + [_jordan_line(rng, rng.randint(2, 16)) for _ in range(125)]
+             + [_catalog_line(rng, rng.choice(catalog)) for _ in range(125)])
+    rng.shuffle(lines)
+    lines += [_pmv_line(series(sid).pmv()) for sid in catalog]
+    path = tmp_path / "batch.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "decide", "--file", str(path))
+    payloads = out.splitlines()
+    assert code == 0 and len(payloads) == len(lines) == 500 + 1134
+    reasons = collections.Counter()
+    for line, payload in zip(lines, map(json.loads, payloads)):
+        _audit_trace(_input_blocks(line), payload)
+        reasons[payload["verdict"]["reason"]] += 1
+    assert len(reasons) == 5  # every kind of verdict is audited
 
 
 def test_trace_jordan_json_is_byte_stable(capsys):
@@ -662,6 +733,17 @@ def test_a_successor_outside_the_catalog_exits_1(capsys, monkeypatch):
     # an id the user gives is still malformed input
     code, out, err = run(capsys, "chain", "B_0")
     assert code == 2 and not out and err.startswith("error: ")
+
+
+def test_output_does_not_depend_on_hash_randomization(tmp_path):
+    path = tmp_path / "batch.jsonl"
+    path.write_text("\n".join(_pinned_batch()) + "\n", encoding="utf-8")
+    for argv in (["enum-rigid", "--n", "14", "--entries", "3", "--no-scalar", "--json"],
+                 ["decide", "--file", str(path)],
+                 ["catalog-verify", "--json"]):
+        a, b = (fresh_python("-m", "dspkit.cli", *argv, PYTHONHASHSEED=seed)
+                for seed in ("0", "12345"))
+        assert a.stdout and (a.returncode, a.stdout) == (b.returncode, b.stdout), argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,6 +16,7 @@ from dspkit import (
     jnf_tuple_from_dict,
     parse_pmv,
 )
+from dspkit.cli import main
 from dspkit.jnf import _ones, jnf_tuple_json
 from dspkit.partitions import MAX_SIZE, normalize
 from helpers import all_jnfs, centralizer_dim_oracle, diagonalized, partitions_of, shape_fields
@@ -185,6 +186,21 @@ def test_diagonal_rejects_what_the_general_constructor_rejects(raw):
     assert str(got.value) == str(want.value)
     with pytest.raises(ValueError, match="^a Jordan shape needs at least one eigenvalue slot$"):
         Jnf.diagonal(Partition())
+
+
+def test_diagonal_table_rejects_parts_equal_to_int_parts(capsys):
+    # True == 1 and 2.0 == 2 hash alike, so with (1,1) and (2,) in the table a lookup
+    # that did not check the part types would hand out their shapes
+    ones, two = Jnf.diagonal((1, 1)), Jnf.diagonal((2,))
+    assert Jnf.diagonal((1, 1)) is ones and Jnf.diagonal([2]) is two
+    for raw in ((True, 1), (1, True), (2.0,), (1.0, 1)):
+        with pytest.raises(ValueError, match="^parts must be positive integers"):
+            Jnf.diagonal(raw)
+    with pytest.raises(ValueError, match="^parts must be positive integers"):
+        parse_pmv("(1,-1);(2)")
+    blob = json.dumps({"entries": [{"eigenvalues": [[True, True]]}, {"eigenvalues": [[2]]}]})
+    assert main(["decide", "--jnf", blob]) == 2
+    assert capsys.readouterr().err.startswith("error: parts must be positive integers")
 
 
 def test_tuple_validation():

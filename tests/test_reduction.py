@@ -250,7 +250,8 @@ def test_decide_traces_do_not_depend_on_cache_state():
     rng = random.Random(37)
     tuples = [random_jnf_tuple(rng, rng.randint(2, 12), rng.randint(2, 5)) for _ in range(300)]
     tuples += [series(sid) for sid in all_series_ids(24)]
-    caches = (dspkit.reduction._cut, dspkit.jnf._ones, dspkit.jnf._slot_json)
+    caches = (dspkit.reduction._cut, dspkit.jnf._ones, dspkit.jnf._slot_json,
+              dspkit.jnf._diagonal)
 
     def dumped(t):
         return dspkit.reduction.trace_json(decide(t))
@@ -266,8 +267,9 @@ def test_decide_traces_do_not_depend_on_cache_state():
 
 
 def test_step_and_slot_caches_stay_bounded():
-    cut, ones, slot_json = dspkit.reduction._cut, dspkit.jnf._ones, dspkit.jnf._slot_json
-    for cache in (cut, ones, slot_json):
+    cut, ones, diagonal = dspkit.reduction._cut, dspkit.jnf._ones, dspkit.jnf._diagonal
+    caches = (cut, ones, dspkit.jnf._slot_json, diagonal)
+    for cache in caches:
         cache.cache_clear()
     rng = random.Random(41)
     seen = set()
@@ -281,14 +283,18 @@ def test_step_and_slot_caches_stay_bounded():
             dspkit.reduction.trace_json(decide(t))
     for m in range(1, 2 * ones.cache_info().maxsize):
         dspkit.jnf.jnf_tuple_json(JnfTuple.from_pmv([(m, 1), (m, 1)]))
-    for cache in (cut, ones, slot_json):
+    # every order of a vector is a key of its own
+    for raw in itertools.product(range(1, 18), repeat=3):
+        Jnf.diagonal(raw)
+    for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None and info.misses > info.maxsize
         assert info.currsize <= info.maxsize
-    # diagonal shapes share one all-ones slot per multiplicity, and a shape
-    # builds its multiplicity vector once
+    # one shape per vector, whatever order it is given in, sharing one all-ones slot
+    # per multiplicity with the other shapes; a shape builds its vector once
     a, b = Jnf.diagonal((3, 2)), Jnf.diagonal((3, 1, 1))
     assert a.slots[0] is b.slots[0]
+    assert Jnf.diagonal([2, 0, 3]) is a is Jnf.diagonal(a.multiplicity_vector())
     assert a.multiplicity_vector() is a.multiplicity_vector()
 
 
