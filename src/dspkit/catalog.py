@@ -22,7 +22,7 @@ from .errors import (
     ResourceLimitError,
     SeriesParameterError,
 )
-from .jnf import JnfTuple
+from .jnf import JnfTuple, _ranks
 from .partitions import MAX_SIZE, Partition, format_vectors, normalize
 from .reduction import psi_step, solvable_pmv
 
@@ -54,8 +54,7 @@ _MEMBER_CACHE_SIZE = 1024
 
 def defect(t: JnfTuple) -> int:
     """2n^2 - sum of class dimensions; invariant under the reduction step."""
-    n = t.n
-    return 2 * n * n - sum(e.d for e in t.entries)
+    return 2 * t.n * t.n - _ranks(t._vecs, t.n)[1]
 
 
 def is_rigid(t: JnfTuple) -> bool:
@@ -344,7 +343,7 @@ def identify(t: JnfTuple) -> list[str]:
     """Names of every catalog instance equal to ``t`` up to entry permutation."""
     if not t.is_diagonal:
         return []
-    key = tuple(sorted((mv.parts for mv in t.pmv()), reverse=True))
+    key = tuple(sorted(t._vecs, reverse=True))  # a diagonal tuple's vectors are its pmv
     return list(_names_by_pmv(t.n).get(key, ()))
 
 
@@ -392,8 +391,7 @@ def verify_step(sid: SeriesId | str) -> SeriesId | int | None:
         got = psi_step(t)
     except PreconditionError as exc:
         raise ChainMismatchError(f"{sid}: step 1 is undefined ({exc})") from None
-    mvs = tuple(sorted((mv.parts for mv in got.pmv() if got.n == 1 or len(mv.parts) > 1),
-                       reverse=True))
+    mvs = tuple(sorted((mv for mv in got._vecs if got.n == 1 or len(mv) > 1), reverse=True))
     if mvs != want:
         step = _chain_step(nxt)
         raise ChainMismatchError(

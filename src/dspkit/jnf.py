@@ -5,18 +5,19 @@ carrying the partition of its Jordan block sizes.  Diagonalizable classes are th
 special case where every block has size 1; those are encoded compactly by a
 multiplicity vector (one part per eigenvalue).
 
-Shapes are immutable and may be shared: ``Jnf.diagonal`` hands out one shape per
-multiplicity vector from a bounded table, built and validated on its first request,
-whose slots are interned all-ones slots, one per multiplicity; the reduction step
-reuses the shapes it has already built.  The general constructor builds a diagonal
-shape's vector from its slots.  A ``Jnf`` fills its hash, its text and its JSON text
-into slots on first use, so a shape that is never hashed or printed never pays for
-them, and a shared one pays once.  Never mutate a ``Partition`` or ``Jnf`` with
-``object.__setattr__``.
+A shape's int form, its vector, is what the decision loop steps: one item per slot in
+canonical slot order, an all-ones slot as its multiplicity and any other slot as its
+block sizes, an int tuple.  Canonical order puts the all-ones slots last, so a diagonal
+shape's vector is its multiplicity vector.  A ``JnfTuple`` holds its entries or their
+vectors and builds the other on first read: ``from_pmv`` and the decision loop make
+vectors, and the tuple's text, its JSON (``jnf_tuple_json``, the one definition of the
+JSON form), r and d come from them, so a tuple that is only decided, named and
+printed never builds a shape.
 
-``jnf_tuple_json`` writes a tuple's compact JSON text directly, joining each
-entry's cached ``{"eigenvalues":[...]}`` text, itself joined from cached ``[a,b,...]``
-slot texts; it is the one definition of the JSON form.
+Shapes and tuples are immutable and may be shared: shapes built from vectors, by
+``Jnf.diagonal`` or on a first read of ``entries``, come from a bounded table.  Never
+mutate them with ``object.__setattr__``.  A ``Jnf`` fills its hash into a slot on
+first use.
 """
 
 from __future__ import annotations
@@ -26,32 +27,26 @@ from operator import attrgetter, mul
 from typing import Iterable
 
 from .errors import require_key
-from .partitions import Partition, _Frozen, disjoint_sum, dual, normalize, parse_parts
+from .partitions import MAX_SIZE, Partition, _Frozen, disjoint_sum, dual, normalize, parse_parts
 
-#: Bound on the interned all-ones slots of ``Jnf.diagonal``, one per multiplicity.
-#: Without it a long-lived process could hold one slot of every size up to
-#: ``MAX_SIZE``, about 400 MB.
-_ONES_CACHE_SIZE = 256
-#: Bound on the table of diagonal shapes, keyed by the vector as given, chosen by
-#: measurement: perfbench's `batch` (seed 7919) asks for 1,597 distinct keys and
-#: `catalog-verify` (--max-n 60) for 1,682, which 2048 keeps.  Deciding and naming the
-#: batch in process took 60-61 ms with 2048 or 4096 entries, 61-63 ms with 1024,
-#: 64-65 ms with 512 and 71-72 ms with none; catalog-verify 34-35 ms with 2048 and
-#: 58 ms with none (5 and 3 fresh processes, Python 3.11, 2 cores).
-_DIAGONAL_CACHE_SIZE = 2048
-_INT = frozenset((int,))
-
-
-@lru_cache(maxsize=_ONES_CACHE_SIZE)
-def _ones(m: int) -> Partition:
-    return Partition((1,) * m)
-
-
-@lru_cache(maxsize=_ONES_CACHE_SIZE)
-def _slot_json(parts: tuple[int, ...]) -> str:
-    # a shape's JSON text is built once, but its all-ones slots recur across shapes:
-    # sharing their text saved 3 ms of 56 on perfbench's `batch` (seed 7919) in process
-    return "[" + ",".join(map(str, parts)) + "]"
+#: Bound on each of the cached JSON and vector texts of entries, chosen by measurement:
+#: `decide --file` on perfbench's `batch` prints 1,454 (seed 5) and 1,484 (seed 7919)
+#: distinct entries of about 7,500, as chains share entries.  Deciding and printing the
+#: seed-7919 batch in process took 40.4-41.0 ms with 2048 or 4096 entries, 40.6-41.0
+#: with 1024, 41.6-41.8 with 512 and 42.9-43.6 with 256; with no vector-text cache
+#: the seed-5 batch took 43.8-44.5 ms against 40.7-41.5 (5 fresh processes each,
+#: Python 3.11, 2 cores).
+_TEXT_CACHE_SIZE = 2048
+#: Bound on the cached slot texts: the batches above ask for 148-158, and without the
+#: cache the seed-5 batch took 42.8-44.9 ms against 40.7-41.5.
+_SLOT_CACHE_SIZE = 256
+#: Bound on the table of shapes built from vectors, for callers that read ``entries``
+#: (the CLI does not), chosen by measurement: Tier-1 builds shapes of 2,470 distinct
+#: vectors.  The six tests that read the most took 11.7 s with 2048 and 13.0-13.2 s
+#: with no table; 1024 to 8192 moved the whole suite by under 0.3 s.
+_SHAPE_CACHE_SIZE = 2048
+#: The odd numbers 2i+1 that weigh block i in a slot's sum of squared conjugate parts.
+_ODD = range(1, 2 * MAX_SIZE, 2)
 
 
 @total_ordering
@@ -62,40 +57,32 @@ class Jnf(_Frozen):
     ``is_diagonal``, computed on construction.
     """
 
-    # _mv is set on diagonal shapes only; _hash, _text and _json are filled on first
-    # use (reading one raises before)
-    __slots__ = ("slots", "n", "r", "d", "is_diagonal", "_mv", "_hash", "_text", "_json")
+    # _mv is set on diagonal shapes only; _hash is filled on first use (reading it
+    # raises before)
+    __slots__ = ("slots", "n", "r", "d", "is_diagonal", "_vec", "_mv", "_hash")
 
     def __init__(self, slots: tuple[Partition, ...]) -> None:
         slots = tuple(sorted(slots, key=attrgetter("parts"), reverse=True))
         object.__setattr__(self, "slots", slots)
         if not slots:
             raise ValueError("a Jordan shape needs at least one eigenvalue slot")
-        # n, r, d and is_diagonal are read for every state of a decision, so they
-        # are computed once, in one pass, as plain attributes: equality, hashing and
-        # ordering see only the slots.  r is n minus the maximal block count of one
-        # slot.  d is n^2 minus the centralizer dimension, the sum over slots of the
-        # squared conjugate parts, which is sum((2i+1) * p_i) with i from 0: m^2 for
-        # an all-ones slot of multiplicity m.
-        n = centralizer = most = 0
-        diagonal = True
+        # n, r, d, is_diagonal and the vector are computed once, as plain attributes:
+        # equality, hashing and ordering see only the slots
+        vec = []
         for s in slots:
-            parts = s.parts
-            if not parts:
+            if not s.parts:
                 raise ValueError("every eigenvalue slot must carry at least one block")
-            n += s.size
-            most = max(most, len(parts))
-            if parts[0] == 1:
-                centralizer += len(parts) ** 2
-            else:
-                diagonal = False
-                centralizer += sum((2 * i + 1) * p for i, p in enumerate(parts))
+            vec.append(s.parts if s.parts[0] > 1 else len(s.parts))
+        vec = tuple(vec)
+        n = sum(map(attrgetter("size"), slots))
+        (r,), d = _ranks((vec,), n)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", n - most)
-        object.__setattr__(self, "d", n * n - centralizer)
-        object.__setattr__(self, "is_diagonal", diagonal)
-        if diagonal:
-            object.__setattr__(self, "_mv", Partition(tuple(len(s.parts) for s in slots)))
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "is_diagonal", type(vec[0]) is int)
+        object.__setattr__(self, "_vec", vec)
+        if self.is_diagonal:
+            object.__setattr__(self, "_mv", Partition(self._vec))
 
     def __repr__(self) -> str:
         return f"Jnf(slots={self.slots!r})"
@@ -124,19 +111,8 @@ class Jnf(_Frozen):
 
     @classmethod
     def diagonal(cls, mv: Partition | Iterable[int]) -> "Jnf":
-        """The diagonal shape of multiplicity vector ``mv``: shared, from a bounded table.
-
-        ``mv`` may be unsorted and hold zeros, as ``normalize`` takes it; every
-        order of one vector gets the same shape while the table holds it.  A miss
-        validates the vector and builds the shape in one pass: its parts are the
-        canonical slot order, so n, r and d are sum(m), n - m_1 and n^2 - sum(m^2).
-        """
-        parts = mv.parts if isinstance(mv, Partition) else tuple(mv)
-        if _INT.issuperset(map(type, parts)):
-            return _diagonal(parts)
-        # True == 1 and 2.0 == 2, so such parts would find an int shape in the table;
-        # the uncached build rejects them
-        return _diagonal.__wrapped__(parts)
+        """The diagonal shape of multiplicity vector ``mv``, taken as ``normalize`` takes it."""
+        return _shape(normalize(mv).parts)
 
     def multiplicity_vector(self) -> Partition:
         if not self.is_diagonal:
@@ -152,32 +128,7 @@ class Jnf(_Frozen):
         return self.r == 0
 
     def __str__(self) -> str:
-        try:
-            return self._text
-        except AttributeError:
-            text = (str(self.multiplicity_vector()) if self.is_diagonal
-                    else "{" + ",".join(str(s) for s in self.slots) + "}")
-            object.__setattr__(self, "_text", text)
-            return text
-
-
-@lru_cache(maxsize=_DIAGONAL_CACHE_SIZE)
-def _diagonal(parts: tuple[int, ...]) -> Jnf:
-    mv = normalize(parts)
-    if mv.parts != parts:
-        return _diagonal(mv.parts)  # one shape per vector, whatever order it came in
-    if not parts:
-        raise ValueError("a Jordan shape needs at least one eigenvalue slot")
-    self = object.__new__(Jnf)
-    put = object.__setattr__
-    n = mv.size
-    put(self, "slots", tuple(map(_ones, parts)))
-    put(self, "n", n)
-    put(self, "r", n - parts[0])
-    put(self, "d", n * n - sum(map(mul, parts, parts)))
-    put(self, "is_diagonal", True)
-    put(self, "_mv", mv)
-    return self
+        return str(self._mv) if self.is_diagonal else "{" + ",".join(map(str, self.slots)) + "}"
 
 
 def corresponding_diagonal(j: Jnf) -> Partition:
@@ -189,18 +140,41 @@ def corresponding_diagonal(j: Jnf) -> Partition:
 
 
 class JnfTuple(_Frozen):
-    """An ordered tuple of shapes of one common size, the decision-procedure input."""
+    """An ordered tuple of shapes of one common size, the decision-procedure input.
 
-    __slots__ = ("entries",)
+    ``n`` and ``is_diagonal`` are set on construction.  ``entries`` and ``_vecs``,
+    the entries' vectors (see the module docstring), are each built from the other on
+    first read; equality and hashing see the entries.
+    """
+
+    __slots__ = ("entries", "n", "is_diagonal", "_vecs")
 
     def __init__(self, entries: tuple[Jnf, ...]) -> None:
         entries = tuple(entries)
         object.__setattr__(self, "entries", entries)
-        if len(entries) < 2:
-            raise ValueError("need at least two entries")
-        sizes = {e.n for e in entries}
-        if len(sizes) != 1:
-            raise ValueError(f"entries disagree on size: {sorted(sizes)}")
+        object.__setattr__(self, "n", _size(len(entries), {e.n for e in entries}))
+        object.__setattr__(self, "is_diagonal", all(e.is_diagonal for e in entries))
+
+    @classmethod
+    def _of_vectors(cls, vecs: tuple, n: int, diagonal: bool) -> "JnfTuple":
+        """The tuple whose entries have the canonical vectors ``vecs``, unchecked: the
+        caller vouches for the size ``n`` and for ``diagonal``, no slot in a tuple."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_vecs", vecs)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "is_diagonal", diagonal)
+        return self
+
+    def __getattr__(self, name):
+        # called for unset slots only: the one of entries and _vecs not yet built
+        if name == "entries":
+            value = tuple(map(_shape, self._vecs))
+        elif name == "_vecs":
+            value = tuple([e._vec for e in self.entries])
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     def __repr__(self) -> str:
         return f"JnfTuple(entries={self.entries!r})"
@@ -215,21 +189,65 @@ class JnfTuple(_Frozen):
 
     @classmethod
     def from_pmv(cls, mvs: Iterable[Partition | Iterable[int]]) -> "JnfTuple":
-        return cls(tuple(Jnf.diagonal(mv) for mv in mvs))
-
-    @property
-    def n(self) -> int:
-        return self.entries[0].n
-
-    @property
-    def is_diagonal(self) -> bool:
-        return all(e.is_diagonal for e in self.entries)
+        """The diagonal tuple of multiplicity vectors ``mvs``, each taken as ``normalize``
+        takes it; its shapes are built on first read."""
+        vecs = []
+        for mv in mvs:
+            vecs.append(normalize(mv).parts)
+            if not vecs[-1]:
+                raise ValueError("a Jordan shape needs at least one eigenvalue slot")
+        return cls._of_vectors(tuple(vecs), _size(len(vecs), set(map(sum, vecs))), True)
 
     def pmv(self) -> tuple[Partition, ...]:
-        return tuple(e.multiplicity_vector() for e in self.entries)
+        if not self.is_diagonal:
+            raise ValueError("only diagonal shapes have a multiplicity vector")
+        return tuple(map(Partition, self._vecs))
 
     def __str__(self) -> str:
+        if self.is_diagonal:
+            return ";".join(map(_entry_text, self._vecs))
         return ";".join(str(e) for e in self.entries)
+
+
+def _size(count: int, sizes: set[int]) -> int:
+    """The one size of a tuple of ``count`` entries of ``sizes``; raises unless valid."""
+    if count < 2:
+        raise ValueError("need at least two entries")
+    if len(sizes) != 1:
+        raise ValueError(f"entries disagree on size: {sorted(sizes)}")
+    return sizes.pop()
+
+
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _shape(vec: tuple) -> Jnf:
+    # vectors come validated, from a shape, normalize or a step, so no bool or float
+    # part (True == 1) can find an int vector's shape here
+    return Jnf(tuple(Partition((1,) * s if type(s) is int else s) for s in vec))
+
+
+def _ranks(vecs: tuple, n: int) -> tuple[list[int], int]:
+    """Per-entry rank r and the sum of the class dimensions d of entries of size ``n``
+    given as vectors.  r is n minus the most blocks of one slot, and d is n^2 minus
+    the sum over slots of the squared conjugate parts: m^2 for an all-ones slot of
+    multiplicity m, sum((2i+1) * p_i) with i from 0 for blocks p."""
+    rs = []
+    squares = 0
+    for vec in vecs:
+        if type(vec[0]) is int:
+            rs.append(n - vec[0])
+            squares += sum(map(mul, vec, vec))
+            continue
+        most = 0
+        for s in vec:
+            if type(s) is int:
+                squares += s * s
+            else:
+                squares += sum(map(mul, s, _ODD))
+                s = len(s)
+            if s > most:
+                most = s
+        rs.append(n - most)
+    return rs, n * n * len(rs) - squares
 
 
 def parse_pmv(text: str) -> JnfTuple:
@@ -237,18 +255,25 @@ def parse_pmv(text: str) -> JnfTuple:
     return JnfTuple.from_pmv([parse_parts(seg) for seg in segments])
 
 
-def _jnf_json(j: Jnf) -> str:
-    try:
-        return j._json
-    except AttributeError:
-        text = '{"eigenvalues":[' + ",".join([_slot_json(s.parts) for s in j.slots]) + "]}"
-        object.__setattr__(j, "_json", text)
-        return text
+@lru_cache(maxsize=_SLOT_CACHE_SIZE)
+def _slot_json(s: int | tuple[int, ...]) -> str:
+    # an all-ones slot of multiplicity s is s ones; ",".join("111") is "1,1,1"
+    return "[" + ",".join("1" * s if type(s) is int else map(str, s)) + "]"
+
+
+@lru_cache(maxsize=_TEXT_CACHE_SIZE)
+def _entry_json(vec: tuple) -> str:
+    return '{"eigenvalues":[' + ",".join(map(_slot_json, vec)) + "]}"
+
+
+@lru_cache(maxsize=_TEXT_CACHE_SIZE)
+def _entry_text(vec: tuple[int, ...]) -> str:
+    return "(" + ",".join(map(str, vec)) + ")"
 
 
 def jnf_tuple_json(t: JnfTuple) -> str:
     """``t`` as compact JSON text with sorted keys: ``{"entries":[...],"n":...}``."""
-    return '{"entries":[' + ",".join([_jnf_json(e) for e in t.entries]) + f'],"n":{t.n}}}'
+    return '{"entries":[' + ",".join(map(_entry_json, t._vecs)) + f'],"n":{t.n}}}'
 
 
 def jnf_from_dict(data: dict) -> Jnf:

@@ -11,15 +11,14 @@ For a tuple of class shapes of size n the three conditions are
 scalar entries, stops with a verdict when omega holds, when the size reaches 1,
 or when beta fails, and otherwise applies one reduction step, shrinking n to
 n1 = sum(r_j) - n.  The quantity 2n^2 - sum(d_j) is invariant along the way.
-``decide`` checks the conditions once per step and passes that report on to the
-step itself; ``psi_step``, the step for outside callers, keeps its contract: it
+``decide`` checks the conditions once per step and cuts by the n - n1 they give;
+``psi_step``, the step for outside callers, keeps its contract: it
 checks every precondition and raises ``PreconditionError`` when one fails.
 
-Reduction chains share long suffixes, so the per-entry cut of ``psi_step`` is
-memoized: the shapes in the tuples that ``psi_step`` and ``decide`` return may
-be shared objects.  They are immutable; never mutate them.  A diagonal entry is
-cut on its multiplicity vector, the largest multiplicity lowered by n - n1, and
-looked up in ``Jnf.diagonal``'s table; a Jordan entry is cut block by block.
+``decide`` and ``psi_step`` step the entries' vectors (see ``dspkit.jnf``), so each
+state is a ``JnfTuple`` of vectors whose shapes are built only if read.  An all-ones
+slot is its multiplicity m, and cutting it lowers m, so a diagonal entry steps as its
+multiplicity vector, its largest multiplicity lowered by n - n1, as in ``solvable_pmv``.
 
 ``trace_json`` writes a trace's compact, sorted-key JSON text directly, ints,
 booleans and ``null`` inline and each state through ``jnf_tuple_json``; it is the
@@ -29,20 +28,10 @@ one definition of the trace schema.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .jnf import Jnf, JnfTuple, jnf_tuple_json
-from .partitions import normalize
-
-#: Bound on the memoized per-entry cuts, chosen by measurement: a `decide --file`
-#: of 500 mixed random and catalog lines (perfbench's `batch`, seed 7919) makes
-#: 5,528 cuts of 957 distinct (entry, slot, k) triples; deciding and naming its
-#: lines in process took 52.8 ms with the cache and 53.7 ms without (medians of
-#: 12 alternating fresh processes, Python 3.11, 2 cores).  A chain that repeats no
-#: cut pays for hashing the keys: `decide` on HG_400 took 162 ms with it, 157 without.
-_CUT_CACHE_SIZE = 1024
+from .jnf import JnfTuple, _ranks, jnf_tuple_json
 
 
 class Reason(str, Enum):
@@ -87,23 +76,13 @@ class ReductionTrace(NamedTuple):
 
 def check_conditions(t: JnfTuple) -> ConditionReport:
     n = t.n
-    rs = []
-    dsum = 0
-    for e in t.entries:
-        rs.append(e.r)
-        dsum += e.d
+    rs, dsum = _ranks(t._vecs, n)
     rsum = sum(rs)
     alpha_slack = dsum - (2 * n * n - 2)
     margins = tuple([rsum - n - r for r in rs])
     omega_slack = rsum - 2 * n
-    return ConditionReport(
-        alpha=alpha_slack >= 0,
-        alpha_slack=alpha_slack,
-        beta=min(margins) >= 0,
-        beta_margins=margins,
-        omega=omega_slack >= 0,
-        omega_slack=omega_slack,
-    )
+    return ConditionReport(alpha_slack >= 0, alpha_slack, min(margins) >= 0, margins,
+                           omega_slack >= 0, omega_slack)
 
 
 def psi_step(t: JnfTuple) -> JnfTuple:
@@ -113,59 +92,52 @@ def psi_step(t: JnfTuple) -> JnfTuple:
     maximal block count loses 1 from each of its n - n1 smallest blocks; empty
     blocks (and slots) are deleted.  For a diagonal entry this just cuts the
     largest multiplicity by n - n1.  Cutting another maximal slot would not
-    change the verdict of the decision loop.  The returned entries may be
-    shared with earlier results (see the module docstring).
+    change the verdict of the decision loop.
     """
     n = t.n
     if n <= 1:
         raise PreconditionError("cannot reduce a tuple of size 1")
-    if any(e.is_scalar() for e in t.entries):
+    if (n,) in t._vecs:  # the vector of a scalar entry
         raise PreconditionError("scalar entries must be dropped before reducing")
     rep = check_conditions(t)
     if rep.omega:
         raise PreconditionError("omega holds; the reduction step is not defined")
     if not rep.beta:
         raise PreconditionError("beta fails; the reduction step is not defined")
-    return _step(t, rep)
+    return _step(t, -rep.omega_slack)
 
 
-def _step(t: JnfTuple, rep: ConditionReport) -> JnfTuple:
-    """``psi_step`` of ``t`` given its report, with the preconditions already checked."""
-    k = -rep.omega_slack  # n - n1, with n1 = sum(r_j) - n
-    new_entries = []
-    for e in t.entries:
-        max_count = e.n - e.r
-        if k > max_count:  # beta guarantees n - n1 <= n - r_j
-            raise RuntimeError(f"block bound broken: cutting {k} from {max_count} blocks")
-        # a diagonal entry's first slot holds its largest multiplicity
-        chosen = 0 if e.is_diagonal else next(
-            i for i, s in enumerate(e.slots) if len(s.parts) == max_count)
-        new_entries.append(_cut(e, chosen, k))
-    return JnfTuple(tuple(new_entries))
-
-
-@lru_cache(maxsize=_CUT_CACHE_SIZE)
-def _cut(e: Jnf, chosen: int, k: int) -> Jnf:
-    """``e`` with 1 cut from each of the ``k`` smallest blocks of slot ``chosen``;
-    an emptied slot is deleted.  On a diagonal shape that lowers multiplicity
-    ``chosen`` by k; other shapes take ``_cut_blocks``."""
-    if not e.is_diagonal:
-        return _cut_blocks(e, chosen, k)
-    mv = list(e.multiplicity_vector().parts)
-    mv[chosen] -= k
-    return Jnf.diagonal(mv)
-
-
-def _cut_blocks(e: Jnf, chosen: int, k: int) -> Jnf:
-    """``_cut`` on the block sizes of any shape; the tests' reference for diagonal ones."""
-    blocks = list(e.slots[chosen].parts)
-    for i in range(len(blocks) - k, len(blocks)):
-        blocks[i] -= 1
-    reduced = normalize(blocks)
-    slots = [s for i, s in enumerate(e.slots) if i != chosen]
-    if reduced.parts:
-        slots.append(reduced)
-    return Jnf(tuple(slots))
+def _step(t: JnfTuple, k: int) -> JnfTuple:
+    """``t`` of size n as vectors, with 1 cut from each of the ``k`` smallest blocks of
+    each entry's first slot with the most blocks, to size n - k; an emptied slot is
+    deleted."""
+    out = []
+    for vec in t._vecs:
+        if type(vec[0]) is int:
+            # all-ones slots only, the first has the most blocks
+            head = vec[0] - k
+            if head < 0:
+                raise RuntimeError(f"block bound broken: cutting {k} from {vec[0]} blocks")
+            out.append(tuple(sorted((head, *vec[1:]), reverse=True)) if head else vec[1:])
+            continue
+        counts = [s if type(s) is int else len(s) for s in vec]
+        chosen = counts.index(max(counts))
+        if k > counts[chosen]:  # beta guarantees n - n1 <= n - r_j
+            raise RuntimeError(f"block bound broken: cutting {k} from {counts[chosen]} blocks")
+        s = vec[chosen]
+        if type(s) is int:
+            s -= k
+        else:
+            s = (*s[:len(s) - k], *(b - 1 for b in s[len(s) - k:] if b > 1))
+            s = s if s[0] > 1 else len(s)
+        rest = vec[:chosen] + vec[chosen + 1:]
+        if s:
+            # canonical slot order: other slots by their blocks, then all-ones slots
+            rest = tuple(sorted((s, *rest), reverse=True, key=lambda s: (type(s) is not int, s)))
+        out.append(rest)
+    # cutting an all-ones slot leaves one, so a diagonal tuple stays diagonal
+    diagonal = t.is_diagonal or all(type(vec[0]) is int for vec in out)
+    return JnfTuple._of_vectors(tuple(out), t.n - k, diagonal)
 
 
 def decide(t: JnfTuple) -> ReductionTrace:
@@ -173,47 +145,49 @@ def decide(t: JnfTuple) -> ReductionTrace:
 
     Scalar entries are dropped (and recorded) whenever they appear; the step
     states in the trace are the post-drop tuples, except that the terminal
-    size-1 state is recorded as produced.
+    size-1 state is recorded as produced.  The first state is ``t`` itself when
+    nothing is dropped from it.
     """
     steps: list[TraceStep] = []
-    cur = t
+    state = t
     defect0 = None
     while True:
-        n = cur.n
+        n, vecs = state.n, state._vecs
         if n == 1:
-            steps.append(TraceStep(cur, check_conditions(cur), n, None, ()))
+            steps.append(TraceStep(state, check_conditions(state), n, None, ()))
             verdict = Verdict(True, Reason.REDUCED_TO_SIZE1, len(steps) - 1)
             break
-        scalars = tuple(i for i, e in enumerate(cur.entries) if e.is_scalar())
-        if len(cur.entries) - len(scalars) < 2:
-            steps.append(TraceStep(cur, check_conditions(cur), n, None, scalars))
+        # (n) is the vector of a scalar entry
+        scalars = tuple(i for i, vec in enumerate(vecs) if vec == (n,)) if (n,) in vecs else ()
+        if len(vecs) - len(scalars) < 2:
+            steps.append(TraceStep(state, check_conditions(state), n, None, scalars))
             verdict = Verdict(False, Reason.DEGENERATE_INPUT, len(steps) - 1)
             break
         if scalars:
-            drop = set(scalars)
-            cur = JnfTuple(tuple(e for i, e in enumerate(cur.entries) if i not in drop))
-        rep = check_conditions(cur)
+            state = JnfTuple._of_vectors(tuple([vec for vec in vecs if vec != (n,)]), n,
+                                         state.is_diagonal)
+        rep = check_conditions(state)
         defect = 2 - rep.alpha_slack  # 2n^2 - sum of d, since alpha slack is sum of d - (2n^2 - 2)
         if defect0 is None:
             # alpha is tested at the first step only; the defect must stay put after it
             defect0 = defect
             if not rep.alpha:
-                steps.append(TraceStep(cur, rep, n, None, scalars))
+                steps.append(TraceStep(state, rep, n, None, scalars))
                 verdict = Verdict(False, Reason.ALPHA_FAILS, len(steps) - 1)
                 break
         elif defect != defect0:
             raise RuntimeError(f"defect invariant broken: {defect0} became {defect} at size {n}")
         if rep.omega:
-            steps.append(TraceStep(cur, rep, n, None, scalars))
+            steps.append(TraceStep(state, rep, n, None, scalars))
             verdict = Verdict(True, Reason.OMEGA_HOLDS, len(steps) - 1)
             break
         if not rep.beta:
-            steps.append(TraceStep(cur, rep, n, None, scalars))
+            steps.append(TraceStep(state, rep, n, None, scalars))
             verdict = Verdict(False, Reason.BETA_FAILS, len(steps) - 1)
             break
         n1 = n + rep.omega_slack
-        steps.append(TraceStep(cur, rep, n, n1, scalars))
-        cur = _step(cur, rep)
+        steps.append(TraceStep(state, rep, n, n1, scalars))
+        state = _step(state, n - n1)
     return ReductionTrace(tuple(steps), verdict)
 
 

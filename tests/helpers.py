@@ -161,6 +161,16 @@ def shape_fields(j: Jnf) -> tuple:
     return (j.slots, j.n, j.r, j.d, j.is_diagonal, hash(j), str(j), mv)
 
 
+def cut_blocks(e: Jnf, chosen: int, k: int) -> Jnf:
+    """``e`` with 1 cut from each of the ``k`` smallest blocks of slot ``chosen``, an
+    emptied slot deleted; the oracle for the step's cut on vectors."""
+    blocks = list(e.slots[chosen].parts)
+    for i in range(len(blocks) - k, len(blocks)):
+        blocks[i] -= 1
+    slots = [s.parts for i, s in enumerate(e.slots) if i != chosen]
+    return Jnf.from_blocks([*slots, blocks] if any(blocks) else slots)
+
+
 def all_jnfs(n: int) -> list[Jnf]:
     """Every shape of size n: a multiset of nonempty slot partitions."""
     out = []

@@ -1,11 +1,14 @@
 import collections
 import hashlib
+import importlib
+import inspect
 import json
 import random
 import time
 
 import pytest
 
+import dspkit
 from dspkit.catalog import all_series_ids, series
 from dspkit.cli import main
 from dspkit.genericity import (
@@ -139,6 +142,50 @@ def test_decide_batch_file_is_byte_stable(tmp_path, capsys):
         assert code == 2
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == "24fc3f240fcc0beca9fc71d45dc6e6475e921fa16ca213bd85884e004a575584")
+
+
+def test_decide_batch_file_makes_the_same_calls_cold_and_warm(tmp_path, capsys, monkeypatch):
+    # every public function of these modules, and JnfTuple.from_pmv, counted wherever it
+    # is looked up, as perfbench's traced passes count them: a call made only on a
+    # cache miss would make the counts of a cold and a warm run differ
+    mods = [importlib.import_module(f"dspkit.{name}")
+            for name in ("partitions", "jnf", "reduction", "catalog")]
+    calls = collections.Counter()
+
+    def counted(label, fn):
+        def wrapper(*args, **kwargs):
+            calls[label] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {obj: counted(f"{mod.__name__}.{attr}", obj) for mod in mods
+                for attr, obj in vars(mod).items()
+                if not attr.startswith("_") and inspect.isfunction(obj)
+                and obj.__module__ == mod.__name__}
+    for mod in [dspkit, *mods, importlib.import_module("dspkit.cli"),
+                importlib.import_module("dspkit.genericity")]:
+        for attr, obj in list(vars(mod).items()):
+            if inspect.isfunction(obj) and obj in wrappers:
+                monkeypatch.setattr(mod, attr, wrappers[obj])
+    from_pmv = JnfTuple.__dict__["from_pmv"].__func__
+    monkeypatch.setattr(JnfTuple, "from_pmv", classmethod(counted("from_pmv", from_pmv)))
+    path = tmp_path / "batch.jsonl"
+    path.write_text("\n".join(_pinned_batch()) + "\n", encoding="utf-8")
+    for mod in mods:
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        runs.append((run(capsys, "decide", "--file", str(path)), dict(calls)))
+    assert runs[0] == runs[1]
+    counts = runs[0][1]
+    assert counts["dspkit.catalog.identify"] == sum(
+        len(json.loads(line)["steps"]) for line in runs[0][0][1].splitlines()
+        if "steps" in json.loads(line))
+    assert counts["dspkit.reduction.decide"] == len(_pinned_batch()) - 1
+    assert counts["from_pmv"] > 0 and counts["dspkit.partitions.normalize"] > 0
 
 
 def _input_blocks(line: str) -> list[list[tuple[int, ...]]]:
@@ -735,12 +782,20 @@ def test_a_successor_outside_the_catalog_exits_1(capsys, monkeypatch):
     assert code == 2 and not out and err.startswith("error: ")
 
 
+#: A Jordan tuple, slots given out of canonical order, with entries whose slots of the
+#: most blocks differ: (2,1) and (1,1) at step 0, (2) and (1) in two entries at step 1.
+_TIED_JORDAN = json.dumps({"n": 5, "entries": [
+    {"eigenvalues": [[1, 1], [2, 1]]}, {"eigenvalues": [[1], [1, 1], [2]]},
+    {"eigenvalues": [[1], [2, 1, 1]]}]})
+
+
 def test_output_does_not_depend_on_hash_randomization(tmp_path):
     path = tmp_path / "batch.jsonl"
     path.write_text("\n".join(_pinned_batch()) + "\n", encoding="utf-8")
     for argv in (["enum-rigid", "--n", "14", "--entries", "3", "--no-scalar", "--json"],
                  ["decide", "--file", str(path)],
-                 ["catalog-verify", "--json"]):
+                 ["catalog-verify", "--json"],
+                 ["trace", "--json", "--jnf", _TIED_JORDAN]):
         a, b = (fresh_python("-m", "dspkit.cli", *argv, PYTHONHASHSEED=seed)
                 for seed in ("0", "12345"))
         assert a.stdout and (a.returncode, a.stdout) == (b.returncode, b.stdout), argv

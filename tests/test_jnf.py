@@ -17,7 +17,7 @@ from dspkit import (
     parse_pmv,
 )
 from dspkit.cli import main
-from dspkit.jnf import _ones, jnf_tuple_json
+from dspkit.jnf import jnf_tuple_json
 from dspkit.partitions import MAX_SIZE, normalize
 from helpers import all_jnfs, centralizer_dim_oracle, diagonalized, partitions_of, shape_fields
 
@@ -161,8 +161,8 @@ def test_derived_fields_are_stable_and_frozen():
 
 
 def _general_diagonal(raw):
-    # the general constructor on all-ones slots: the reference for the one-pass build
-    return Jnf(tuple(_ones(m) for m in normalize(raw).parts))
+    # the general constructor on all-ones slots: the reference for Jnf.diagonal
+    return Jnf(tuple(Partition((1,) * m) for m in normalize(raw).parts))
 
 
 def test_diagonal_matches_the_general_constructor():
@@ -189,13 +189,16 @@ def test_diagonal_rejects_what_the_general_constructor_rejects(raw):
 
 
 def test_diagonal_table_rejects_parts_equal_to_int_parts(capsys):
-    # True == 1 and 2.0 == 2 hash alike, so with (1,1) and (2,) in the table a lookup
-    # that did not check the part types would hand out their shapes
+    # True == 1 and 2.0 == 2 hash alike, so with (1,1) and (2,) in the tables of shapes
+    # and texts a lookup that did not check the part types would hand them out
     ones, two = Jnf.diagonal((1, 1)), Jnf.diagonal((2,))
+    assert str(JnfTuple.from_pmv([(1, 1), (2,)])) == "(1,1);(2)"
     assert Jnf.diagonal((1, 1)) is ones and Jnf.diagonal([2]) is two
     for raw in ((True, 1), (1, True), (2.0,), (1.0, 1)):
         with pytest.raises(ValueError, match="^parts must be positive integers"):
             Jnf.diagonal(raw)
+        with pytest.raises(ValueError, match="^parts must be positive integers"):
+            JnfTuple.from_pmv([raw, (2,)])
     with pytest.raises(ValueError, match="^parts must be positive integers"):
         parse_pmv("(1,-1);(2)")
     blob = json.dumps({"entries": [{"eigenvalues": [[True, True]]}, {"eigenvalues": [[2]]}]})
@@ -210,6 +213,13 @@ def test_tuple_validation():
         JnfTuple((mv(2, 1), mv(2, 2)))
     with pytest.raises(ValueError):
         JnfTuple.from_pmv([(), ()])
+    # from_pmv checks its vectors as the constructor checks shapes
+    for mvs in ([(2, 1)], [(2, 1), (2, 2)], [(1,), (0, 0)]):
+        with pytest.raises(ValueError) as want:
+            JnfTuple(tuple(map(Jnf.diagonal, mvs)))
+        with pytest.raises(ValueError) as got:
+            JnfTuple.from_pmv(mvs)
+        assert str(got.value) == str(want.value)
 
 
 def test_pmv_text_round_trip():

@@ -19,8 +19,10 @@ from dspkit import (
     series,
     solvable_pmv,
 )
+from dspkit.jnf import jnf_tuple_json
 from helpers import (
     all_jnfs,
+    cut_blocks,
     diagonalized,
     is_positive_root,
     partitions_of,
@@ -212,8 +214,41 @@ def _raw(t: JnfTuple) -> list[list[tuple[int, ...]]]:
     return [[s.parts for s in e.slots] for e in t.entries]
 
 
+def test_decide_states_equal_eagerly_built_states():
+    # each state of decide, held as vectors, against the state built eagerly from the
+    # input's blocks by reference_psi_step and Jnf.from_blocks, dropped entries removed
+    rng = random.Random(47)
+    tuples = [random_jnf_tuple(rng, rng.randint(1, 12), rng.randint(2, 5)) for _ in range(300)]
+    tuples += [JnfTuple.from_pmv(random_pmv(rng, rng.randint(1, 12), rng.randint(2, 5)))
+               for _ in range(300)]
+    tuples += [series(sid) for sid in all_series_ids(40)]
+    states = jordan = 0
+    for t in tuples:
+        trace = decide(t)
+        blocks = _raw(t)
+        for i, step in enumerate(trace.steps):
+            if not (trace.verdict.reason is Reason.DEGENERATE_INPUT and i == len(trace.steps) - 1):
+                blocks = [e for j, e in enumerate(blocks) if j not in step.dropped_scalar_indices]
+            got, want = step.state, JnfTuple(tuple(Jnf.from_blocks(e) for e in blocks))
+            # text and JSON first: they are written from the vectors, before any shape
+            assert (str(got), jnf_tuple_json(got)) == (str(want), jnf_tuple_json(want))
+            assert (got.n, got.is_diagonal) == (want.n, want.is_diagonal)
+            if want.is_diagonal:
+                assert got.pmv() == want.pmv()
+            else:
+                with pytest.raises(ValueError):
+                    got.pmv()
+            assert got == want and hash(got) == hash(want)
+            assert list(map(shape_fields, got.entries)) == list(map(shape_fields, want.entries))
+            if i + 1 < len(trace.steps):
+                blocks = reference_psi_step(blocks)
+            states += 1
+            jordan += not want.is_diagonal
+    assert states > 10000 and jordan > 250
+
+
 def test_psi_step_matches_reference_step():
-    # the memoized step against a from-scratch step on raw block lists
+    # the step on vectors against a from-scratch step on raw block lists
     rng = random.Random(31)
     stepped = 0
     while stepped < 600:
@@ -229,29 +264,34 @@ def test_psi_step_matches_reference_step():
 
 
 def test_diagonal_cut_matches_the_block_cut():
-    # the multiplicity-vector cut against the general cut on all-ones blocks, for
-    # every slot and every count; the step itself takes slot 0 with k up to its size
-    cut, blocks = dspkit.reduction._cut.__wrapped__, dspkit.reduction._cut_blocks
-    cases = 0
+    # the step on a shape's vector against the cut on its block sizes, for every shape
+    # with n <= 10, diagonal or not, and every k up to the most blocks of one slot
+    step = dspkit.reduction._step
+    cases = diagonal = 0
     for n in range(1, 11):
-        for parts in partitions_of(n):
-            e = Jnf.diagonal(parts)
-            for chosen, m in enumerate(parts):
-                for k in range(1, m + 1):
-                    if len(parts) == 1 and k == m:
-                        continue  # nothing would be left: not a shape
-                    got, want = cut(e, chosen, k), blocks(e, chosen, k)
-                    assert shape_fields(got) == shape_fields(want), (parts, chosen, k)
-                    cases += 1
-    assert cases == 1096
+        for e in all_jnfs(n):
+            count = n - e.r
+            chosen = next(i for i, s in enumerate(e.slots) if len(s.parts) == count)
+            for k in range(1, count + 1):
+                if e.r == 0 and k == n:
+                    continue  # nothing would be left: not a shape
+                vec = step(JnfTuple._of_vectors((e._vec,), n, e.is_diagonal), k)._vecs[0]
+                got = dspkit.jnf._shape(vec)
+                assert shape_fields(got) == shape_fields(cut_blocks(e, chosen, k)), (e, k)
+                assert vec == got._vec, (e, k)
+                cases += 1
+                diagonal += e.is_diagonal
+    assert (cases, diagonal) == (5105, 527)
+    for vec in ((2, 1), ((2, 1), 1)):  # a diagonal and a Jordan entry of 2 blocks at most
+        with pytest.raises(RuntimeError, match="^block bound broken"):
+            step(JnfTuple._of_vectors((vec, vec), 3, type(vec[0]) is int), 3)
 
 
 def test_decide_traces_do_not_depend_on_cache_state():
     rng = random.Random(37)
     tuples = [random_jnf_tuple(rng, rng.randint(2, 12), rng.randint(2, 5)) for _ in range(300)]
     tuples += [series(sid) for sid in all_series_ids(24)]
-    caches = (dspkit.reduction._cut, dspkit.jnf._ones, dspkit.jnf._slot_json,
-              dspkit.jnf._diagonal)
+    caches = (dspkit.jnf._entry_json, dspkit.jnf._entry_text)
 
     def dumped(t):
         return dspkit.reduction.trace_json(decide(t))
@@ -261,14 +301,14 @@ def test_decide_traces_do_not_depend_on_cache_state():
         for cache in caches:
             cache.cache_clear()
         cold.append(dumped(t))
-    # catalog chains share suffixes, so this pass hits cuts of earlier instances
+    # catalog chains share suffixes, so this pass hits texts of earlier instances
     assert [dumped(t) for t in tuples] == cold
     assert [dumped(t) for t in reversed(tuples)] == cold[::-1]  # repeated, other order
 
 
 def test_step_and_slot_caches_stay_bounded():
-    cut, ones, diagonal = dspkit.reduction._cut, dspkit.jnf._ones, dspkit.jnf._diagonal
-    caches = (cut, ones, dspkit.jnf._slot_json, diagonal)
+    caches = (dspkit.jnf._entry_json, dspkit.jnf._entry_text, dspkit.jnf._slot_json,
+              dspkit.jnf._shape)
     for cache in caches:
         cache.cache_clear()
     rng = random.Random(41)
@@ -281,19 +321,17 @@ def test_step_and_slot_caches_stay_bounded():
         if t not in seen:
             seen.add(t)
             dspkit.reduction.trace_json(decide(t))
-    for m in range(1, 2 * ones.cache_info().maxsize):
+    for m in range(1, 2 * dspkit.jnf._slot_json.cache_info().maxsize):
         dspkit.jnf.jnf_tuple_json(JnfTuple.from_pmv([(m, 1), (m, 1)]))
-    # every order of a vector is a key of its own
-    for raw in itertools.product(range(1, 18), repeat=3):
+    for raw in itertools.product(range(1, 30), repeat=3):
         Jnf.diagonal(raw)
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None and info.misses > info.maxsize
         assert info.currsize <= info.maxsize
-    # one shape per vector, whatever order it is given in, sharing one all-ones slot
-    # per multiplicity with the other shapes; a shape builds its vector once
-    a, b = Jnf.diagonal((3, 2)), Jnf.diagonal((3, 1, 1))
-    assert a.slots[0] is b.slots[0]
+    # one shape per vector while the table holds it, whatever order it is given in;
+    # a shape builds its vector once
+    a = Jnf.diagonal((3, 2))
     assert Jnf.diagonal([2, 0, 3]) is a is Jnf.diagonal(a.multiplicity_vector())
     assert a.multiplicity_vector() is a.multiplicity_vector()
 
