@@ -66,11 +66,9 @@ def _decide(t, catalog, reduction):
 
 def _decide_json(t, trace, chain, catalog, reduction) -> str:
     """The decide/trace JSON line: ``chain`` and ``defect``, then the trace's own
-    keys, written after them in sorted order by ``reduction.trace_json``.  Catalog
-    names are ASCII letters, digits and underscores: nothing to escape."""
-    names = ",".join(['["' + '","'.join(step) + '"]' if step else "[]" for step in chain])
-    return (f'{{"chain":[{names}],"defect":{catalog.defect(t)},'
-            + reduction.trace_json(trace)[1:])
+    keys, written after them in sorted order by ``reduction.trace_json``."""
+    return ('{"chain":' + json.dumps(chain, separators=(",", ":"))
+            + f',"defect":{catalog.defect(t)},' + reduction.trace_json(trace)[1:])
 
 
 def _print_verdict(v) -> None:

@@ -27,7 +27,8 @@ from operator import attrgetter, mul
 from typing import Iterable
 
 from .errors import require_key
-from .partitions import MAX_SIZE, Partition, _Frozen, disjoint_sum, dual, normalize, parse_parts
+from .partitions import (MAX_SIZE, Partition, _Frozen, disjoint_sum, dual, format_vectors, normalize,
+                         parse_parts)
 
 #: Bound on each of the cached JSON and vector texts of entries, chosen by measurement:
 #: `decide --file` on perfbench's `batch` prints 1,454 (seed 5) and 1,484 (seed 7919)
@@ -205,7 +206,7 @@ class JnfTuple(_Frozen):
 
     def __str__(self) -> str:
         if self.is_diagonal:
-            return ";".join(map(_entry_text, self._vecs))
+            return format_vectors(self._vecs)
         return ";".join(str(e) for e in self.entries)
 
 
@@ -264,11 +265,6 @@ def _slot_json(s: int | tuple[int, ...]) -> str:
 @lru_cache(maxsize=_TEXT_CACHE_SIZE)
 def _entry_json(vec: tuple) -> str:
     return '{"eigenvalues":[' + ",".join(map(_slot_json, vec)) + "]}"
-
-
-@lru_cache(maxsize=_TEXT_CACHE_SIZE)
-def _entry_text(vec: tuple[int, ...]) -> str:
-    return "(" + ",".join(map(str, vec)) + ")"
 
 
 def jnf_tuple_json(t: JnfTuple) -> str:

@@ -113,13 +113,6 @@ def _step(t: JnfTuple, k: int) -> JnfTuple:
     deleted."""
     out = []
     for vec in t._vecs:
-        if type(vec[0]) is int:
-            # all-ones slots only, the first has the most blocks
-            head = vec[0] - k
-            if head < 0:
-                raise RuntimeError(f"block bound broken: cutting {k} from {vec[0]} blocks")
-            out.append(tuple(sorted((head, *vec[1:]), reverse=True)) if head else vec[1:])
-            continue
         counts = [s if type(s) is int else len(s) for s in vec]
         chosen = counts.index(max(counts))
         if k > counts[chosen]:  # beta guarantees n - n1 <= n - r_j
