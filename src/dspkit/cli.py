@@ -42,8 +42,12 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+# compact JSON text with sorted keys; json.dumps would build an encoder per call
+_compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    print(_compact_json(obj))
 
 
 def _tuple_from_args(args):
@@ -67,7 +71,7 @@ def _decide(t, catalog, reduction):
 def _decide_json(t, trace, chain, catalog, reduction) -> str:
     """The decide/trace JSON line: ``chain`` and ``defect``, then the trace's own
     keys, written after them in sorted order by ``reduction.trace_json``."""
-    return ('{"chain":' + json.dumps(chain, separators=(",", ":"))
+    return ('{"chain":' + _compact_json(chain)
             + f',"defect":{catalog.defect(t)},' + reduction.trace_json(trace)[1:])
 
 

@@ -27,7 +27,7 @@ from operator import attrgetter, mul
 from typing import Iterable
 
 from .errors import require_key
-from .partitions import (MAX_SIZE, Partition, _Frozen, disjoint_sum, dual, format_vectors, normalize,
+from .partitions import (MAX_SIZE, Partition, _Frozen, _vector_text, disjoint_sum, dual, normalize,
                          parse_parts)
 
 #: Bound on each of the cached JSON and vector texts of entries, chosen by measurement:
@@ -206,7 +206,7 @@ class JnfTuple(_Frozen):
 
     def __str__(self) -> str:
         if self.is_diagonal:
-            return format_vectors(self._vecs)
+            return ";".join(map(_entry_text, self._vecs))
         return ";".join(str(e) for e in self.entries)
 
 
@@ -265,6 +265,11 @@ def _slot_json(s: int | tuple[int, ...]) -> str:
 @lru_cache(maxsize=_TEXT_CACHE_SIZE)
 def _entry_json(vec: tuple) -> str:
     return '{"eigenvalues":[' + ",".join(map(_slot_json, vec)) + "]}"
+
+
+# format_vectors' text of one vector; the vectors are validated ints, so no bool or
+# float part (True == 1) shares a key with an int part
+_entry_text = lru_cache(maxsize=_TEXT_CACHE_SIZE)(_vector_text)
 
 
 def jnf_tuple_json(t: JnfTuple) -> str:

@@ -80,7 +80,11 @@ class Partition(_Frozen):
 
 def format_vectors(mvs: Iterable[Iterable[int]]) -> str:
     """The ``(a,b);(c)`` text form of multiplicity vectors, used by every printer."""
-    return ";".join("(" + ",".join(map(str, mv)) + ")" for mv in mvs)
+    return ";".join(map(_vector_text, mvs))
+
+
+def _vector_text(mv: Iterable[int]) -> str:
+    return "(" + ",".join(map(str, mv)) + ")"
 
 
 def normalize(raw: Iterable[int]) -> Partition:

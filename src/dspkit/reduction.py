@@ -113,20 +113,35 @@ def _step(t: JnfTuple, k: int) -> JnfTuple:
     deleted."""
     out = []
     for vec in t._vecs:
-        counts = [s if type(s) is int else len(s) for s in vec]
-        chosen = counts.index(max(counts))
-        if k > counts[chosen]:  # beta guarantees n - n1 <= n - r_j
-            raise RuntimeError(f"block bound broken: cutting {k} from {counts[chosen]} blocks")
+        # canonical slot order: slots of other blocks by their blocks, then all-ones
+        # slots by multiplicity, so no all-ones slot after the first has more blocks
+        chosen = most = 0
+        for i, s in enumerate(vec):
+            if type(s) is int:
+                if s > most:
+                    chosen, most = i, s
+                break
+            if len(s) > most:
+                chosen, most = i, len(s)
+        if k > most:  # beta guarantees n - n1 <= n - r_j
+            raise RuntimeError(f"block bound broken: cutting {k} from {most} blocks")
         s = vec[chosen]
+        rest = vec[:chosen] + vec[chosen + 1:]
         if type(s) is int:
             s -= k
         else:
             s = (*s[:len(s) - k], *(b - 1 for b in s[len(s) - k:] if b > 1))
             s = s if s[0] > 1 else len(s)
-        rest = vec[:chosen] + vec[chosen + 1:]
         if s:
-            # canonical slot order: other slots by their blocks, then all-ones slots
-            rest = tuple(sorted((s, *rest), reverse=True, key=lambda s: (type(s) is not int, s)))
+            # the cut slot sorts no earlier than before: it moves past the slots still ahead
+            j = chosen
+            if type(s) is int:
+                while j < len(rest) and (type(rest[j]) is not int or rest[j] > s):
+                    j += 1
+            else:
+                while j < len(rest) and type(rest[j]) is not int and rest[j] > s:
+                    j += 1
+            rest = (*rest[:j], s, *rest[j:])
         out.append(rest)
     # cutting an all-ones slot leaves one, so a diagonal tuple stays diagonal
     diagonal = t.is_diagonal or all(type(vec[0]) is int for vec in out)

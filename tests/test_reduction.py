@@ -291,7 +291,8 @@ def test_decide_traces_do_not_depend_on_cache_state():
     rng = random.Random(37)
     tuples = [random_jnf_tuple(rng, rng.randint(2, 12), rng.randint(2, 5)) for _ in range(300)]
     tuples += [series(sid) for sid in all_series_ids(24)]
-    caches = (dspkit.jnf._entry_json, dspkit.jnf._slot_json, dspkit.jnf._shape)
+    caches = (dspkit.jnf._entry_json, dspkit.jnf._entry_text, dspkit.jnf._slot_json,
+              dspkit.jnf._shape)
 
     def dumped(t):
         return dspkit.reduction.trace_json(decide(t))
@@ -307,7 +308,8 @@ def test_decide_traces_do_not_depend_on_cache_state():
 
 
 def test_step_and_slot_caches_stay_bounded():
-    caches = (dspkit.jnf._entry_json, dspkit.jnf._slot_json, dspkit.jnf._shape)
+    caches = (dspkit.jnf._entry_json, dspkit.jnf._entry_text, dspkit.jnf._slot_json,
+              dspkit.jnf._shape)
     for cache in caches:
         cache.cache_clear()
     rng = random.Random(41)
