@@ -30,16 +30,14 @@ from .errors import require_key
 from .partitions import (MAX_SIZE, Partition, _Frozen, _vector_text, disjoint_sum, dual, normalize,
                          parse_parts)
 
-#: Bound on each of the cached JSON and vector texts of entries, chosen by measurement:
-#: `decide --file` on perfbench's `batch` prints 1,454 (seed 5) and 1,484 (seed 7919)
-#: distinct entries of about 7,500, as chains share entries.  Deciding and printing the
-#: seed-7919 batch in process took 40.4-41.0 ms with 2048 or 4096 entries, 40.6-41.0
-#: with 1024, 41.6-41.8 with 512 and 42.9-43.6 with 256; with no vector-text cache
-#: the seed-5 batch took 43.8-44.5 ms against 40.7-41.5 (5 fresh processes each,
-#: Python 3.11, 2 cores).
+#: Bound on each of the cached JSON and vector texts of entries: perfbench's `batch`
+#: prints 1,454 (seed 5) and 1,484 (seed 7919) distinct entries of about 7,500.  Its
+#: seed-7919 lines took 43.4-44.1 ms in process with 2048 or 4096, 43.6-45.3 with 1024,
+#: 44.9-46.0 with 512 and 46.2-47.3 with 256; seed 5 took 46.9-48.0 against 44.3-44.8
+#: with no vector-text cache (5 fresh processes each, Python 3.11, 2 cores).
 _TEXT_CACHE_SIZE = 2048
 #: Bound on the cached slot texts: the batches above ask for 148-158, and without the
-#: cache the seed-5 batch took 42.8-44.9 ms against 40.7-41.5.
+#: cache the seed-5 batch took 46.2-46.7 ms against 44.3-44.8.
 _SLOT_CACHE_SIZE = 256
 #: Bound on the table of shapes built from vectors, for callers that read ``entries``
 #: (the CLI does not), chosen by measurement: Tier-1 builds shapes of 2,470 distinct
@@ -69,12 +67,9 @@ class Jnf(_Frozen):
             raise ValueError("a Jordan shape needs at least one eigenvalue slot")
         # n, r, d, is_diagonal and the vector are computed once, as plain attributes:
         # equality, hashing and ordering see only the slots
-        vec = []
-        for s in slots:
-            if not s.parts:
-                raise ValueError("every eigenvalue slot must carry at least one block")
-            vec.append(s.parts if s.parts[0] > 1 else len(s.parts))
-        vec = tuple(vec)
+        if not all(s.parts for s in slots):
+            raise ValueError("every eigenvalue slot must carry at least one block")
+        vec = tuple([s.parts if s.parts[0] > 1 else len(s.parts) for s in slots])
         n = sum(map(attrgetter("size"), slots))
         (r,), d = _ranks((vec,), n)
         object.__setattr__(self, "n", n)
@@ -234,10 +229,6 @@ def _ranks(vecs: tuple, n: int) -> tuple[list[int], int]:
     rs = []
     squares = 0
     for vec in vecs:
-        if type(vec[0]) is int:
-            rs.append(n - vec[0])
-            squares += sum(map(mul, vec, vec))
-            continue
         most = 0
         for s in vec:
             if type(s) is int:

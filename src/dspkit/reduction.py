@@ -133,14 +133,11 @@ def _step(t: JnfTuple, k: int) -> JnfTuple:
             s = (*s[:len(s) - k], *(b - 1 for b in s[len(s) - k:] if b > 1))
             s = s if s[0] > 1 else len(s)
         if s:
-            # the cut slot sorts no earlier than before: it moves past the slots still ahead
-            j = chosen
-            if type(s) is int:
-                while j < len(rest) and (type(rest[j]) is not int or rest[j] > s):
-                    j += 1
-            else:
-                while j < len(rest) and type(rest[j]) is not int and rest[j] > s:
-                    j += 1
+            # the cut slot sorts no earlier than before: it moves past the slots still
+            # ahead of it in canonical order, which sorts (has a block over 1, slot) down
+            j, key = chosen, (type(s) is not int, s)
+            while j < len(rest) and (type(rest[j]) is not int, rest[j]) > key:
+                j += 1
             rest = (*rest[:j], s, *rest[j:])
         out.append(rest)
     # cutting an all-ones slot leaves one, so a diagonal tuple stays diagonal
