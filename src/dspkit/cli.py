@@ -40,6 +40,8 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+
 # compact JSON text with sorted keys; json.dumps would build an encoder per call
 _compact_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 

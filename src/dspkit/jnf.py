@@ -65,8 +65,7 @@ class Jnf(_Frozen):
         object.__setattr__(self, "slots", slots)
         if not slots:
             raise ValueError("a Jordan shape needs at least one eigenvalue slot")
-        # n, r, d, is_diagonal and the vector are computed once, as plain attributes:
-        # equality, hashing and ordering see only the slots
+        # plain attributes, computed once: equality, hashing and ordering see only slots
         if not all(s.parts for s in slots):
             raise ValueError("every eigenvalue slot must carry at least one block")
         vec = tuple([s.parts if s.parts[0] > 1 else len(s.parts) for s in slots])
@@ -153,8 +152,7 @@ class JnfTuple(_Frozen):
 
     @classmethod
     def _of_vectors(cls, vecs: tuple, n: int, diagonal: bool) -> "JnfTuple":
-        """The tuple whose entries have the canonical vectors ``vecs``, unchecked: the
-        caller vouches for the size ``n`` and for ``diagonal``, no slot in a tuple."""
+        """Unchecked: the caller vouches for the canonical ``vecs``, ``n`` and ``diagonal``."""
         self = object.__new__(cls)
         object.__setattr__(self, "_vecs", vecs)
         object.__setattr__(self, "n", n)
@@ -216,8 +214,7 @@ def _size(count: int, sizes: set[int]) -> int:
 
 @lru_cache(maxsize=_SHAPE_CACHE_SIZE)
 def _shape(vec: tuple) -> Jnf:
-    # vectors come validated, from a shape, normalize or a step, so no bool or float
-    # part (True == 1) can find an int vector's shape here
+    # vectors come validated, so no bool or float part (True == 1) finds an int's shape
     return Jnf(tuple(Partition((1,) * s if type(s) is int else s) for s in vec))
 
 
@@ -229,6 +226,10 @@ def _ranks(vecs: tuple, n: int) -> tuple[list[int], int]:
     rs = []
     squares = 0
     for vec in vecs:
+        if type(vec[0]) is int:
+            rs.append(n - vec[0])
+            squares += sum(map(mul, vec, vec))
+            continue
         most = 0
         for s in vec:
             if type(s) is int:
@@ -258,8 +259,7 @@ def _entry_json(vec: tuple) -> str:
     return '{"eigenvalues":[' + ",".join(map(_slot_json, vec)) + "]}"
 
 
-# format_vectors' text of one vector; the vectors are validated ints, so no bool or
-# float part (True == 1) shares a key with an int part
+# format_vectors' text of one validated vector: no bool or float part (True == 1)
 _entry_text = lru_cache(maxsize=_TEXT_CACHE_SIZE)(_vector_text)
 
 

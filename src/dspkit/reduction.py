@@ -108,13 +108,12 @@ def psi_step(t: JnfTuple) -> JnfTuple:
 
 
 def _step(t: JnfTuple, k: int) -> JnfTuple:
-    """``t`` of size n as vectors, with 1 cut from each of the ``k`` smallest blocks of
-    each entry's first slot with the most blocks, to size n - k; an emptied slot is
-    deleted."""
+    """``t`` of size n as vectors, with 1 cut from each of the ``k`` smallest blocks of each
+    entry's first slot with the most blocks, to size n - k; an emptied slot is deleted."""
     out = []
     for vec in t._vecs:
-        # canonical slot order: slots of other blocks by their blocks, then all-ones
-        # slots by multiplicity, so no all-ones slot after the first has more blocks
+        # canonical slot order sorts (has a block over 1, slot) down, so no all-ones slot
+        # after the first has more blocks
         chosen = most = 0
         for i, s in enumerate(vec):
             if type(s) is int:
@@ -133,8 +132,7 @@ def _step(t: JnfTuple, k: int) -> JnfTuple:
             s = (*s[:len(s) - k], *(b - 1 for b in s[len(s) - k:] if b > 1))
             s = s if s[0] > 1 else len(s)
         if s:
-            # the cut slot sorts no earlier than before: it moves past the slots still
-            # ahead of it in canonical order, which sorts (has a block over 1, slot) down
+            # the cut slot only moves right, past the slots still ahead of it
             j, key = chosen, (type(s) is not int, s)
             while j < len(rest) and (type(rest[j]) is not int, rest[j]) > key:
                 j += 1
