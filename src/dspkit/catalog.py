@@ -13,8 +13,7 @@ One memoized builder makes each member's canonical int vectors once per process;
 from __future__ import annotations
 
 import functools
-import itertools
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     ChainMismatchError,
@@ -22,17 +21,20 @@ from .errors import (
     ResourceLimitError,
     SeriesParameterError,
 )
-from .jnf import JnfTuple, _ranks
-from .partitions import MAX_SIZE, Partition, format_vectors, normalize
+from .partitions import MAX_SIZE, Partition, _capped, _ranks, format_vectors, normalize
 from .reduction import psi_step, solvable_pmv
 
+if TYPE_CHECKING:
+    from .jnf import JnfTuple
+
 #: The walk's one resource guard: a node with p parts that tries t part choices (the product
-#: of its entries' choice counts) does t*p units of work, as a try copies up to p parts.  The
+#: of its entries' choice counts) is charged t*p units of work before it builds a child.  The
 #: largest walks in perfbench and the tests do 162,989 and 1,551,788.  In process, 3 GB cap,
-#: 2 runs each (Python 3.11, 2 cores), walks trip after: unconstrained triples 1.3-1.6 s /
-#: 21 MB at n=40, 0.5-1.2 s / 18 MB at n=100 and 10000, 0.8-1.0 s / 140 MB at 10**30; 6 entries
-#: 1.1-1.4 s / 20 MB at n=40, 6 or 8 1.3-2.0 s / 284 MB at 10**30; u=1 or 2, 3 or 4 entries,
-#: n=10**4 to 10**30 0.1-0.4 s / 18 MB; 19 entries at n=40 4.0-4.6 s / 16 MB; 21 or 30 at once.
+#: 2 runs each (Python 3.11, 2 cores), walks trip after: unconstrained triples 0.64-0.65 s /
+#: 21 MB at n=40, 0.2-0.4 s / 16-18 MB at n=100 and 10000, 0.4 s / 140 MB at 10**30; 4 or 6
+#: entries 0.5-0.75 s / 20-22 MB at n=40, 4, 6 or 8 0.6-1.0 s / 192-284 MB at 10**30; u=1 or 2,
+#: 3 or 4 entries, n=10**4 to 10**30 0.08-0.14 s / 16-18 MB; 19 entries at n=40 1.6 s / 16 MB;
+#: 21 or 30 at once.
 MAX_ENUM_WORK = 10_000_000
 #: Bound on the cached per-size name indexes, chosen by measurement: perfbench's
 #: `batch` (seed 5) names states of 40 sizes, which 64 keeps (40 builds, 2,048 hits;
@@ -287,7 +289,7 @@ def _member(sid: SeriesId, fam: _Family) -> _Vectors:
     process: keyed by the record too, so a patched ``FAMILIES`` entry builds anew."""
     if sid.param not in fam.params:
         raise SeriesParameterError(f"parameter {sid.param} out of range for {sid.name}")
-    n = fam.n_of(sid.param)
+    n = _capped(fam.n_of(sid.param))
     mvs = tuple(sorted((tuple(sorted(filter(None, raw), reverse=True))
                         for raw in fam.build(sid.param)), reverse=True))
     if {sum(mv) for mv in mvs} != {n} or any(mv[-1] < 1 for mv in mvs):
@@ -313,9 +315,12 @@ def series_mvs(sid: SeriesId) -> tuple[Partition, ...]:
 
 def series(sid: SeriesId | str) -> JnfTuple:
     """Build the family instance as a canonicalized diagonal tuple."""
+    from .jnf import JnfTuple  # here, so that the enumerator loads no shapes
+
     if isinstance(sid, str):
         sid = parse_series_id(sid)
-    return JnfTuple.from_pmv(_vectors(sid))
+    vecs = _vectors(sid)
+    return JnfTuple._of_vectors(vecs, sum(vecs[0]), True)
 
 
 def all_series_ids(max_n: int) -> Iterator[SeriesId]:
@@ -420,38 +425,47 @@ def _children(parent: _Vectors, max_n: int, u: int, spare: list[int]) -> set[_Ve
     work, parts times tries (the product of the choice counts), leaves ``spare[0]`` or raises."""
     n1 = sum(parent[0])
     base = (len(parent) - 2) * n1
+    kwin = max_n - n1
     # 1 <= k <= kmax, so x_j + k can be a largest part only for x_j >= mv[0] - kmax,
     # and a new part only when mv[0] <= kmax
-    kmax = min(max_n - n1, u)
-    # per entry: each such distinct part x (0 for none) -> what is left of the entry without it
+    kmax = min(kwin, u)
+    # per entry: each such distinct part x (0 for none), what is left of the entry
+    # without it, and the least k that makes x + k a largest part
     left = []
     work = sum(map(len, parent))
     for mv in parent:
         low = mv[0] - kmax
-        choices = {0: mv} if low <= 0 else {}
-        choices.update((x, mv[:i] + mv[i + 1:]) for i, x in enumerate(mv)
-                       if x >= low and (not i or mv[i - 1] != x))
+        choices = [(0, mv, mv[0])] if low <= 0 else []
+        for i, x in enumerate(mv):
+            if x >= low and (not i or mv[i - 1] != x):
+                rest = mv[:i] + mv[i + 1:]
+                choices.append((x, rest, rest[0] - x if rest else 0))
         left.append(choices)
         work *= len(choices)
         if work > spare[0]:
             raise ResourceLimitError(f"the walk to n={max_n} does > {MAX_ENUM_WORK} units of work")
     spare[0] -= work
-    out = set()
-    for xs in itertools.product(*left):
-        k = base - sum(xs)
-        if k < 1 or n1 + k > max_n or min(xs) + k > u:
-            continue
-        child = []
-        for x, rests in zip(xs, left):
-            rest = rests[x]
-            if rest and rest[0] > x + k:
-                break
-            child.append((x + k, *rest))
-        else:
-            # at n = n1 + k the child's rank sum is 2n - k, so omega fails, and
-            # n1 minus each rank is x_j >= 0, so beta holds: the step is defined
-            out.add(tuple(sorted(child, reverse=True)))
-    return out
+    *heads, last = left
+    partial = [(base, 1, u, ())]
+    for choices in heads:
+        partial = _extended(partial, choices, kwin)
+    # at n = n1 + k the child's rank sum is 2n - k, so omega fails, and n1 minus each
+    # rank is x_j >= 0, so beta holds: the step is defined
+    return {tuple(sorted([(y + k, *z) for y, z in acc] + [(x + k, *rest)], reverse=True))
+            for r, lo, least, acc in partial for x, rest, gap in last
+            if lo <= (k := r - x) <= kwin and gap <= k and (least if least <= x else x) + k <= u}
+
+
+def _extended(partial: Iterable[tuple], choices: list[tuple], kwin: int) -> Iterator[tuple]:
+    """``_children``'s combinations of the other entries' choices, one entry more, made
+    lazily so that no node holds them all: k before the parts still to come are taken off,
+    the least k the largest-part conditions allow, the least part, and the choices."""
+    for r, lo, least, acc in partial:
+        for x, rest, gap in choices:
+            # a later part only lowers k, so below its least k a combination is dropped
+            if r - x >= lo and r - x >= gap and gap <= kwin:
+                yield (r - x, lo if lo >= gap else gap, least if least <= x else x,
+                       acc + ((x, rest),))
 
 
 def enumerate_rigid(n: int, entries: int, *, u: int | None = None, no_all_ones: bool = False,

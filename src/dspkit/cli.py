@@ -121,7 +121,6 @@ def _cmd_decide(args) -> int:
 
 def _cmd_trace(args) -> int:
     from . import catalog, reduction
-    from .jnf import jnf_tuple_json
 
     t = _tuple_from_args(args)
     trace, chain = _decide(t, catalog, reduction)
@@ -132,7 +131,7 @@ def _cmd_trace(args) -> int:
     for i, (step, names) in enumerate(zip(trace.steps, chain)):
         s = step.state
         # a Jordan state prints as its JSON form, spaced as json.dumps spaces it
-        state = str(s) if s.is_diagonal else json.dumps(json.loads(jnf_tuple_json(s)),
+        state = str(s) if s.is_diagonal else json.dumps(json.loads(reduction.jnf_tuple_json(s)),
                                                         sort_keys=True)
         tag = f"  [{'='.join(names)}]" if names else ""
         print(f"step {i}: n={step.n} {state}{tag}")
@@ -185,7 +184,7 @@ def _cmd_series(args) -> int:
         _emit_json({
             "id": str(sid),
             "n": t.n,
-            "entries": [list(e.multiplicity_vector().parts) for e in t.entries],
+            "entries": [list(vec) for vec in t._vecs],  # a diagonal tuple's vectors
             "defect": catalog.defect(t),
         })
     else:

@@ -9,10 +9,10 @@ A shape's int form, its vector, is what the decision loop steps: one item per sl
 canonical slot order, an all-ones slot as its multiplicity and any other slot as its
 block sizes, an int tuple.  Canonical order puts the all-ones slots last, so a diagonal
 shape's vector is its multiplicity vector.  A ``JnfTuple`` holds its entries or their
-vectors and builds the other on first read: ``from_pmv`` and the decision loop make
-vectors, and the tuple's text, its JSON (``jnf_tuple_json``, the one definition of the
-JSON form), r and d come from them, so a tuple that is only decided, named and
-printed never builds a shape.
+vectors and builds the other on first read: the parsers (``sorted_parts`` checks their
+parts) and the decision loop make vectors, and the tuple's text, its JSON
+(``reduction.jnf_tuple_json``) and r and d (``partitions._ranks``) come from them, so a
+tuple that is only parsed, decided, named and printed never builds a shape.
 
 Shapes and tuples are immutable and may be shared: shapes built from vectors, by
 ``Jnf.diagonal`` or on a first read of ``entries``, come from a bounded table.  Never
@@ -23,29 +23,18 @@ first use.
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
-from operator import attrgetter, mul
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import require_key
-from .partitions import (MAX_SIZE, Partition, _Frozen, _vector_text, disjoint_sum, dual, normalize,
-                         parse_parts)
+from .partitions import (_TEXT_CACHE_SIZE, Partition, _capped, _Frozen, _ranks, _vector_text,
+                         disjoint_sum, dual, normalize, parse_parts, sorted_parts)
 
-#: Bound on each of the cached JSON and vector texts of entries: perfbench's `batch`
-#: prints 1,454 (seed 5) and 1,484 (seed 7919) distinct entries of about 7,500.  Its
-#: seed-7919 lines took 43.4-44.1 ms in process with 2048 or 4096, 43.6-45.3 with 1024,
-#: 44.9-46.0 with 512 and 46.2-47.3 with 256; seed 5 took 46.9-48.0 against 44.3-44.8
-#: with no vector-text cache (5 fresh processes each, Python 3.11, 2 cores).
-_TEXT_CACHE_SIZE = 2048
-#: Bound on the cached slot texts: the batches above ask for 148-158, and without the
-#: cache the seed-5 batch took 46.2-46.7 ms against 44.3-44.8.
-_SLOT_CACHE_SIZE = 256
 #: Bound on the table of shapes built from vectors, for callers that read ``entries``
 #: (the CLI does not), chosen by measurement: Tier-1 builds shapes of 2,470 distinct
 #: vectors.  The six tests that read the most took 11.7 s with 2048 and 13.0-13.2 s
 #: with no table; 1024 to 8192 moved the whole suite by under 0.3 s.
 _SHAPE_CACHE_SIZE = 2048
-#: The odd numbers 2i+1 that weigh block i in a slot's sum of squared conjugate parts.
-_ODD = range(1, 2 * MAX_SIZE, 2)
 
 
 @total_ordering
@@ -63,13 +52,8 @@ class Jnf(_Frozen):
     def __init__(self, slots: tuple[Partition, ...]) -> None:
         slots = tuple(sorted(slots, key=attrgetter("parts"), reverse=True))
         object.__setattr__(self, "slots", slots)
-        if not slots:
-            raise ValueError("a Jordan shape needs at least one eigenvalue slot")
         # plain attributes, computed once: equality, hashing and ordering see only slots
-        if not all(s.parts for s in slots):
-            raise ValueError("every eigenvalue slot must carry at least one block")
-        vec = tuple([s.parts if s.parts[0] > 1 else len(s.parts) for s in slots])
-        n = sum(map(attrgetter("size"), slots))
+        vec, n = _vector([s.parts for s in slots])
         (r,), d = _ranks((vec,), n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
@@ -106,8 +90,8 @@ class Jnf(_Frozen):
 
     @classmethod
     def diagonal(cls, mv: Partition | Iterable[int]) -> "Jnf":
-        """The diagonal shape of multiplicity vector ``mv``, taken as ``normalize`` takes it."""
-        return _shape(normalize(mv).parts)
+        """The diagonal shape of multiplicity vector ``mv``, checked by ``sorted_parts``."""
+        return _shape(sorted_parts(mv))
 
     def multiplicity_vector(self) -> Partition:
         if not self.is_diagonal:
@@ -183,11 +167,10 @@ class JnfTuple(_Frozen):
 
     @classmethod
     def from_pmv(cls, mvs: Iterable[Partition | Iterable[int]]) -> "JnfTuple":
-        """The diagonal tuple of multiplicity vectors ``mvs``, each taken as ``normalize``
-        takes it; its shapes are built on first read."""
+        """The diagonal tuple of multiplicity vectors ``mvs``, each checked by ``sorted_parts``."""
         vecs = []
         for mv in mvs:
-            vecs.append(normalize(mv).parts)
+            vecs.append(sorted_parts(mv))
             if not vecs[-1]:
                 raise ValueError("a Jordan shape needs at least one eigenvalue slot")
         return cls._of_vectors(tuple(vecs), _size(len(vecs), set(map(sum, vecs))), True)
@@ -218,62 +201,34 @@ def _shape(vec: tuple) -> Jnf:
     return Jnf(tuple(Partition((1,) * s if type(s) is int else s) for s in vec))
 
 
-def _ranks(vecs: tuple, n: int) -> tuple[list[int], int]:
-    """Per-entry rank r and the sum of the class dimensions d of entries of size ``n``
-    given as vectors.  r is n minus the most blocks of one slot, and d is n^2 minus
-    the sum over slots of the squared conjugate parts: m^2 for an all-ones slot of
-    multiplicity m, sum((2i+1) * p_i) with i from 0 for blocks p."""
-    rs = []
-    squares = 0
-    for vec in vecs:
-        if type(vec[0]) is int:
-            rs.append(n - vec[0])
-            squares += sum(map(mul, vec, vec))
-            continue
-        most = 0
-        for s in vec:
-            if type(s) is int:
-                squares += s * s
-            else:
-                squares += sum(map(mul, s, _ODD))
-                s = len(s)
-            if s > most:
-                most = s
-        rs.append(n - most)
-    return rs, n * n * len(rs) - squares
-
-
 def parse_pmv(text: str) -> JnfTuple:
     segments = [seg for seg in text.split(";") if seg.strip()]
     return JnfTuple.from_pmv([parse_parts(seg) for seg in segments])
-
-
-@lru_cache(maxsize=_SLOT_CACHE_SIZE)
-def _slot_json(s: int | tuple[int, ...]) -> str:
-    # an all-ones slot of multiplicity s is s ones; ",".join("111") is "1,1,1"
-    return "[" + ",".join("1" * s if type(s) is int else map(str, s)) + "]"
-
-
-@lru_cache(maxsize=_TEXT_CACHE_SIZE)
-def _entry_json(vec: tuple) -> str:
-    return '{"eigenvalues":[' + ",".join(map(_slot_json, vec)) + "]}"
 
 
 # format_vectors' text of one validated vector: no bool or float part (True == 1)
 _entry_text = lru_cache(maxsize=_TEXT_CACHE_SIZE)(_vector_text)
 
 
-def jnf_tuple_json(t: JnfTuple) -> str:
-    """``t`` as compact JSON text with sorted keys: ``{"entries":[...],"n":...}``."""
-    return '{"entries":[' + ",".join(map(_entry_json, t._vecs)) + f'],"n":{t.n}}}'
-
-
 def jnf_from_dict(data: dict) -> Jnf:
     return Jnf.from_blocks(require_key(data, "eigenvalues"))
 
 
+def _vector(slots: list[tuple[int, ...]]) -> tuple[tuple, int]:
+    """The vector and size of the shape of checked block tuples ``slots`` in canonical order."""
+    if not slots:
+        raise ValueError("a Jordan shape needs at least one eigenvalue slot")
+    if not slots[-1]:
+        raise ValueError("every eigenvalue slot must carry at least one block")
+    return tuple([s if s[0] > 1 else len(s) for s in slots]), _capped(sum(map(sum, slots)))
+
+
 def jnf_tuple_from_dict(data: dict) -> JnfTuple:
-    t = JnfTuple(tuple(jnf_from_dict(e) for e in require_key(data, "entries")))
+    shapes = [_vector(sorted(map(sorted_parts, require_key(e, "eigenvalues")), reverse=True))
+              for e in require_key(data, "entries")]
+    vecs = tuple([vec for vec, _ in shapes])
+    t = JnfTuple._of_vectors(vecs, _size(len(vecs), {size for _, size in shapes}),
+                             all(type(vec[0]) is int for vec in vecs))
     if "n" in data and (type(data["n"]) is not int or data["n"] != t.n):
         raise ValueError(f"declared size {data['n']!r} does not match entries of size {t.n}")
     return t

@@ -30,6 +30,7 @@ from dspkit import (
     verify_step,
 )
 from dspkit.catalog import FAMILIES, SeriesId, _names_by_pmv, series_mvs
+from dspkit.cli import main
 from dspkit.partitions import MAX_SIZE
 from helpers import (
     case_omega,
@@ -137,6 +138,16 @@ def test_series_parameter_errors():
         parse_series_id("Nope_3")
     # the last parameter of an unbounded family makes an instance of the size cap
     assert series("HG_10000").n == MAX_SIZE
+
+
+def test_series_past_the_size_cap_is_refused(capsys):
+    # W_4000 is in range (k runs to 10,000) but has size 3 * 4000 + 1 = 12,001
+    with pytest.raises(ValueError, match=r"^partition size 12001 exceeds the cap 10000$"):
+        series("W_4000")
+    for command in ("series", "chain"):
+        assert main([command, "W_4000"]) == 2
+        assert capsys.readouterr() == ("", "error: partition size 12001 exceeds the cap 10000\n")
+    assert series("W_3333").n == MAX_SIZE
 
 
 @pytest.mark.parametrize("build", [
@@ -403,6 +414,26 @@ def test_enumerate_node_budget(monkeypatch):
     with pytest.raises(ResourceLimitError,
                        match=r"^the walk to n=8 does > 4034 units of work$"):
         enumerate_rigid(8, 3)
+
+
+def test_walk_work_is_pinned(monkeypatch):
+    # MAX_ENUM_WORK - spare[0] after each walk: perfbench's largest walk, a u=2 triple
+    # walk and a u=2 quadruple walk
+    import dspkit.catalog as cat
+
+    spares = []
+    children = cat._children
+
+    def recorded(parent, max_n, u, spare):
+        spares.append(spare)
+        return children(parent, max_n, u, spare)
+
+    monkeypatch.setattr(cat, "_children", recorded)
+    for n, entries, kwargs, work in [(14, 3, {"no_scalar": True}, 162_989), (34, 3, _U2, 51_126),
+                                     (200, 4, {"u": 2}, 1_551_788)]:
+        spares.clear()
+        enumerate_rigid(n, entries, **kwargs)
+        assert cat.MAX_ENUM_WORK - spares[-1][0] == work, (n, entries)
 
 
 def test_rank_sum_over_u2_outputs():

@@ -185,7 +185,7 @@ def test_decide_batch_file_makes_the_same_calls_cold_and_warm(tmp_path, capsys, 
         len(json.loads(line)["steps"]) for line in runs[0][0][1].splitlines()
         if "steps" in json.loads(line))
     assert counts["dspkit.reduction.decide"] == len(_pinned_batch()) - 1
-    assert counts["from_pmv"] > 0 and counts["dspkit.partitions.normalize"] > 0
+    assert counts["from_pmv"] > 0 and counts["dspkit.partitions.sorted_parts"] > 0
 
 
 def _input_blocks(line: str) -> list[list[tuple[int, ...]]]:
@@ -329,6 +329,25 @@ def test_wrong_json_shape_exits_2(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out, argv
         assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
+
+
+def test_the_size_cap_holds_for_every_entry_in_every_input_form(tmp_path, capsys):
+    # a Jordan entry's slots of 6,000 each fit the cap; the entry of 12,000 does not
+    big = json.dumps({"entries": [{"eigenvalues": [[6000], [6000]]}] * 3})
+    cap = "error: partition size 12000 exceeds the cap 10000\n"
+    for argv in (["decide", "--jnf", big], ["defect", "--jnf", big], ["trace", "--jnf", big],
+                 ["decide", "(6000,6000);(6000,6000);(6000,6000)"],
+                 ["dual", "--jnf", json.dumps({"eigenvalues": [[6000], [6000]]})]):
+        assert run(capsys, *argv) == (2, "", cap), argv[:2]
+    path = tmp_path / "batch.jsonl"
+    path.write_text(big + '\n"(6000,6000);(6000,6000);(6000,6000)"\n', encoding="utf-8")
+    code, out, _ = run(capsys, "decide", "--file", str(path))
+    assert code == 2
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"line": line, "error": cap[7:-1]} for line in (1, 2)]
+    # an entry of exactly the cap is still decided
+    edge = json.dumps({"entries": [{"eigenvalues": [[5000], [5000]]}] * 3})
+    assert run(capsys, "defect", "--jnf", edge)[:2] == (0, "defect: -99970000 (not rigid)\n")
 
 
 def _jnf(first_slot, n=None):

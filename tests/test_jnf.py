@@ -17,7 +17,7 @@ from dspkit import (
     parse_pmv,
 )
 from dspkit.cli import main
-from dspkit.jnf import jnf_tuple_json
+from dspkit.reduction import jnf_tuple_json
 from dspkit.partitions import MAX_SIZE, normalize
 from helpers import all_jnfs, centralizer_dim_oracle, diagonalized, partitions_of, shape_fields
 

@@ -1,5 +1,6 @@
 """The package's exports and what each entry point loads at start-up."""
 
+import argparse
 import importlib
 import json
 
@@ -75,25 +76,40 @@ def _newly_loaded(body: str) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("argv, submodules", [
-    (None, []),
-    (["--help"], ["cli", "errors"]),
-    (["dual", "--partition", "(2,1)"], ["cli", "errors", "jnf", "partitions"]),
-    (["generic-gen", "(1,1);(1,1);(1,1)"],
-     ["cli", "errors", "genericity", "jnf", "partitions"]),
-    (["generic-check", '{"mode":"additive","entries":[[{"coeffs":{"t1":"1"},"mult":1},'
-      '{"coeffs":{"t1":"-1"},"mult":1}],[{"coeffs":{},"mult":2}]]}'],
-     ["cli", "errors", "genericity"]),
-    (["decide", "(1,1);(1,1);(1,1)"],
-     ["catalog", "cli", "errors", "jnf", "partitions", "reduction"]),
-    (["trace", "(1,1);(1,1);(1,1)"],
-     ["catalog", "cli", "errors", "jnf", "partitions", "reduction"]),
-    (["enum-rigid", "--n", "4", "--entries", "3"],
-     ["catalog", "cli", "errors", "jnf", "partitions", "reduction"]),
-    (["catalog-verify", "--max-n", "6"],
-     ["catalog", "cli", "errors", "jnf", "partitions", "reduction"]),
-], ids=["import", "help", "dual", "generic-gen", "generic-check", "decide", "trace",
-        "enum-rigid", "catalog-verify"])
+_DECIDING = ["catalog", "cli", "errors", "jnf", "partitions", "reduction"]
+# the walk and min-d build no shape, so they load no jnf
+_WALKING = ["catalog", "cli", "errors", "partitions", "reduction"]
+_TUPLE = "(1,1);(1,1);(1,1)"
+#: Each entry point, by id, and the dspkit submodules it loads.
+START_UP = {
+    "import": (None, []),
+    "help": (["--help"], ["cli", "errors"]),
+    "dual": (["dual", "--partition", "(2,1)"], ["cli", "errors", "jnf", "partitions"]),
+    "generic-gen": (["generic-gen", _TUPLE], ["cli", "errors", "genericity", "jnf", "partitions"]),
+    "generic-check": (["generic-check", '{"mode":"additive","entries":[[{"coeffs":{"t1":"1"},'
+                       '"mult":1},{"coeffs":{"t1":"-1"},"mult":1}],[{"coeffs":{},"mult":2}]]}'],
+                      ["cli", "errors", "genericity"]),
+    "decide": (["decide", _TUPLE], _DECIDING),
+    "trace": (["trace", _TUPLE], _DECIDING),
+    "defect": (["defect", _TUPLE], _DECIDING),
+    "enum-rigid": (["enum-rigid", "--n", "4", "--entries", "3"], _WALKING),
+    "min-d": (["min-d", "--n", "5", "--r", "2"], _WALKING),
+    "series": (["series", "W_2"], _DECIDING),
+    "chain": (["chain", "W_2"], _DECIDING),
+    "catalog-verify": (["catalog-verify", "--max-n", "6"], _DECIDING),
+}
+
+
+def test_every_command_has_a_start_up_pin():
+    from dspkit.cli import build_parser
+
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(commands) == sorted(argv[0] for argv, _ in START_UP.values()
+                                      if argv and argv[0] != "--help")
+
+
+@pytest.mark.parametrize("argv, submodules", START_UP.values(), ids=START_UP.keys())
 def test_start_up_loads_only_what_the_command_runs(argv, submodules):
     body = "import dspkit" if argv is None else _MAIN.format(argv=argv)
     loaded = _newly_loaded(body)

@@ -19,7 +19,7 @@ from dspkit import (
     series,
     solvable_pmv,
 )
-from dspkit.jnf import jnf_tuple_json
+from dspkit.reduction import jnf_tuple_json
 from helpers import (
     all_jnfs,
     cut_blocks,
@@ -291,7 +291,7 @@ def test_decide_traces_do_not_depend_on_cache_state():
     rng = random.Random(37)
     tuples = [random_jnf_tuple(rng, rng.randint(2, 12), rng.randint(2, 5)) for _ in range(300)]
     tuples += [series(sid) for sid in all_series_ids(24)]
-    caches = (dspkit.jnf._entry_json, dspkit.jnf._entry_text, dspkit.jnf._slot_json,
+    caches = (dspkit.reduction._entry_json, dspkit.jnf._entry_text, dspkit.reduction._slot_json,
               dspkit.jnf._shape)
 
     def dumped(t):
@@ -308,7 +308,7 @@ def test_decide_traces_do_not_depend_on_cache_state():
 
 
 def test_step_and_slot_caches_stay_bounded():
-    caches = (dspkit.jnf._entry_json, dspkit.jnf._entry_text, dspkit.jnf._slot_json,
+    caches = (dspkit.reduction._entry_json, dspkit.jnf._entry_text, dspkit.reduction._slot_json,
               dspkit.jnf._shape)
     for cache in caches:
         cache.cache_clear()
@@ -322,8 +322,8 @@ def test_step_and_slot_caches_stay_bounded():
         if t not in seen:
             seen.add(t)
             dspkit.reduction.trace_json(decide(t))
-    for m in range(1, 2 * dspkit.jnf._slot_json.cache_info().maxsize):
-        dspkit.jnf.jnf_tuple_json(JnfTuple.from_pmv([(m, 1), (m, 1)]))
+    for m in range(1, 2 * dspkit.reduction._slot_json.cache_info().maxsize):
+        dspkit.reduction.jnf_tuple_json(JnfTuple.from_pmv([(m, 1), (m, 1)]))
     for raw in itertools.product(range(1, 30), repeat=3):
         Jnf.diagonal(raw)
     for cache in caches:
