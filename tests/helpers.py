@@ -30,14 +30,18 @@ from dspkit.reduction import solvable_pmv
 ORACLE_MAX_SIZE = 8
 
 
-def fresh_python(*args: str, **env_vars: str) -> subprocess.CompletedProcess:
+def fresh_python(*args: str, drop: tuple[str, ...] = (), stdout=subprocess.PIPE,
+                 **env_vars: str) -> subprocess.CompletedProcess:
     """``python *args`` in a new interpreter that imports the dspkit under test,
-    with ``env_vars`` added to its environment and text output captured."""
+    with ``env_vars`` added to its environment and the variables named in ``drop``
+    removed.  Text output is captured; stdout goes to ``stdout`` if one is given."""
     src = str(Path(dspkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, **env_vars, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=60)
+    for name in drop:
+        env.pop(name, None)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:

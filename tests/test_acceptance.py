@@ -37,6 +37,7 @@ from dspkit import (
     enumerate_rigid,
     gcd_obstruction,
     generate_generic,
+    jnf_tuple_from_dict,
     nongenericity_witness,
     series,
     trace_condition,
@@ -52,6 +53,7 @@ from helpers import (
     is_generic,
     partitions_of,
     random_jnf_tuple,
+    random_partition,
     rational_assignment,
     reduces_to_simple_root,
 )
@@ -168,13 +170,32 @@ def test_criterion_02_catalog_rigidity_to_60():
     report("02", f"{checked} catalog instances with n <= 60 rigid and solvable")
 
 
-def test_criterion_03_defect_invariance_random():
+def _random_tuple(rng, n, entries):
+    """``random_jnf_tuple(rng, n, entries)`` from the same draws in the same order,
+    built from its block lists by ``jnf_tuple_from_dict`` rather than through ``Jnf``."""
+    return jnf_tuple_from_dict({"entries": [
+        {"eigenvalues": [random_partition(rng, s) for s in random_partition(rng, n)]}
+        for _ in range(entries)]})
+
+
+def _criterion_03_draws(build):
     rng = random.Random(20240809)
+    while True:
+        n = rng.randint(2, 15)
+        yield build(rng, n, rng.randint(2, 5))
+
+
+def test_criterion_03_draws_match_the_shape_oracle():
+    pairs = zip(_criterion_03_draws(_random_tuple), _criterion_03_draws(random_jnf_tuple))
+    for t, oracle in itertools.islice(pairs, 1000):
+        assert (t, t.n, t.is_diagonal) == (oracle, oracle.n, oracle.is_diagonal)
+
+
+def test_criterion_03_defect_invariance_random():
+    draws = _criterion_03_draws(_random_tuple)
     checked = 0
     while checked < 10_000:
-        n = rng.randint(2, 15)
-        t = random_jnf_tuple(rng, n, rng.randint(2, 5))
-        trace = decide(t)
+        trace = decide(next(draws))
         if len(trace.steps) < 2:
             continue
         values = {2 * s.n * s.n - sum(e.d for e in s.state.entries) for s in trace.steps}

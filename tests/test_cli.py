@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import os
 import random
 import time
 
@@ -839,3 +840,79 @@ def test_command_in_a_fresh_process(capsys, argv):
     proc = fresh_python("-m", "dspkit.cli", *argv)
     assert proc.returncode == 0 and proc.stdout, proc.stderr
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+
+
+def _block_buffered(*args, **kwargs):
+    """``fresh_python`` without ``PYTHONUNBUFFERED``, so stdout is block-buffered as
+    it is for most users: an exit that skipped the flush would lose output."""
+    return fresh_python(*args, drop=("PYTHONUNBUFFERED",), **kwargs)
+
+
+_BATCH = "<batch file>"
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ["decide", "(3,2,2);(3,2,2);(3,2,2)", "--json"]),
+    # the multiplicity gcd rules out additive generic eigenvalues
+    (1, ["generic-gen", "(2,2);(2,2);(2,2)"]),
+    (2, ["decide", "--no-such-flag"]),
+    (2, ["decide", "--file", _BATCH]),  # one malformed line; the others still print
+    (3, ["enum-rigid", "--n", "10", "--entries", "30"]),  # trips the root check at once
+    (0, ["enum-rigid", "--n", "14", "--entries", "3", "--no-scalar", "--json"]),  # ~82 KB
+    (0, ["--help"]),
+], ids=["ok", "failed", "usage", "bad-line", "resource", "large", "help"])
+def test_process_output_matches_main_byte_for_byte(tmp_path, capsys, monkeypatch, code, argv):
+    path = tmp_path / "batch.jsonl"
+    path.write_text('"(2,1);(1,1,1);(1,1,1)"\n"(2,2;(3)"\n"(4,4);(4,4);(7,1)"\n',
+                    encoding="utf-8")
+    argv = [str(path) if a == _BATCH else a for a in argv]
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width in both
+    proc = _block_buffered("-m", "dspkit.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+    assert proc.returncode == code and (proc.stdout or proc.stderr)
+    if "--json" in argv and argv[0] == "enum-rigid":
+        assert proc.stdout.count("\n") == 1004
+
+
+_DECIDE = ["decide", "(3,2,2);(3,2,2);(3,2,2)"]
+
+
+def test_exit_handler_runs_once_after_the_output(capsys):
+    proc = _block_buffered("-c", "import atexit; atexit.register(print, 'exit handler'); "
+                                 "from dspkit.cli import run; run()", *_DECIDE)
+    code, out, err = run(capsys, *_DECIDE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out + "exit handler\n", err)
+
+
+def test_live_thread_finishes_its_output(capsys):
+    # the thread prints only once the main thread has finished, so an exit that
+    # did not wait for it would lose the line
+    proc = _block_buffered("-c", "import threading; threading.Thread(target=lambda: ("
+                                 "threading.main_thread().join(), print('thread done'))).start(); "
+                                 "from dspkit.cli import run; run()", *_DECIDE)
+    code, out, err = run(capsys, *_DECIDE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out + "thread done\n", err)
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    # the output overflows the buffer inside main, which reports the failed write
+    (["enum-rigid", "--n", "14", "--entries", "3", "--no-scalar", "--json"], 2,
+     "error: [Errno 32] Broken pipe\n"),
+    # the output fits the buffer, so the exit's flush fails and the interpreter reports it
+    (_DECIDE, 120, "BrokenPipeError: [Errno 32] Broken pipe\n"),
+], ids=["in-main", "at-exit"])
+def test_closed_stdout_pipe(argv, code, err):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _block_buffered("-m", "dspkit.cli", *argv, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == code and proc.stderr.endswith(err), proc.stderr
+
+
+def test_no_stdout_takes_the_normal_exit():
+    # sys.stdout is None when the process starts with fd 1 closed: nothing to flush
+    proc = fresh_python("-c", "import sys; sys.stdout = None; "
+                              "from dspkit.cli import run; run()", *_DECIDE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")

@@ -3,6 +3,7 @@
 import argparse
 import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +120,13 @@ def test_start_up_loads_only_what_the_command_runs(argv, submodules):
         assert "fractions" not in loaded and "decimal" not in loaded
     # the value types and records are written out or named tuples, not dataclasses
     assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def test_console_script_is_cli_run():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["dspkit"]
+    module, _, name = target.partition(":")
+    from dspkit import cli
+
+    assert module == "dspkit.cli" and getattr(cli, name, None) is cli.run, target
