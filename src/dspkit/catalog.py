@@ -27,26 +27,14 @@ from .reduction import psi_step, solvable_pmv
 if TYPE_CHECKING:
     from .jnf import JnfTuple
 
-#: The walk's one resource guard: a node with p parts that tries t part choices (the product
-#: of its entries' choice counts) is charged t*p units of work before it builds a child.  The
-#: largest walks in perfbench and the tests do 162,989 and 1,551,788.  In process, 3 GB cap,
-#: 2 runs each (Python 3.11, 2 cores), walks trip after: unconstrained triples 0.64-0.65 s /
-#: 21 MB at n=40, 0.2-0.4 s / 16-18 MB at n=100 and 10000, 0.4 s / 140 MB at 10**30; 4 or 6
-#: entries 0.5-0.75 s / 20-22 MB at n=40, 4, 6 or 8 0.6-1.0 s / 192-284 MB at 10**30; u=1 or 2,
-#: 3 or 4 entries, n=10**4 to 10**30 0.08-0.14 s / 16-18 MB; 19 entries at n=40 1.6 s / 16 MB;
-#: 21 or 30 at once.
+#: The walk's one guard: a node of p parts trying t part choices is charged t*p units first.
+#: Every walk tried trips within 2 s and 284 MB: CHANGES.md, "The walk's budget now charges".
 MAX_ENUM_WORK = 10_000_000
-#: Bound on the cached per-size name indexes, chosen by measurement: perfbench's
-#: `batch` (seed 5) names states of 40 sizes, which 64 keeps (40 builds, 2,048 hits;
-#: 0.09-0.13 s to decide and name its lines in process) and 32 does not (350 builds,
-#: 0.26-0.31 s).  Naming the chain of HG_800 builds 800 indexes: peak RSS 78 MB
-#: unbounded, 30 MB with the bound (Python 3.11, 2 cores).
+#: Bound on the per-size name indexes: above the 40 sizes perfbench's batch names.  Measured
+#: in CHANGES.md, "`decide` and `trace` write their JSON lines from per-slot text".
 _NAMES_CACHE_SIZE = 64
-#: Bound on the memoized catalog members, chosen by measurement: catalog-verify builds
-#: each of its 553 instances once at --max-n 30 and each of its 1,134 at the default
-#: --max-n 60 (at 200, 172 of 3,840 twice).  Naming the chain of HG_800 builds 15,440
-#: members: peak RSS 41.7 MB with the bound, 46.0 MB with 2,048 and 41.6 MB with no
-#: memo (Python 3.11, 2 cores).
+#: Bound on the memoized members: catalog-verify to its default --max-n builds each once.
+#: Measured in CHANGES.md, "Diagonal shapes are built and cut as multiplicity vectors".
 _MEMBER_CACHE_SIZE = 1024
 
 

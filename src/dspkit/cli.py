@@ -25,9 +25,11 @@ own modules on its first lines, before it reads any input.
 A process enters through ``run()`` (``python -m dspkit.cli`` and the ``dspkit``
 script).  After ``main()`` it runs the exit handlers, flushes stdout and stderr
 and ends with ``os._exit``: it skips only the interpreter's teardown, which frees
-every module and object and costs 5-9 ms per process.  A failed flush or a live
-thread takes the normal exit.  ``main(argv)`` returns the code and exits nothing,
-so tests and benchmarks call it in their own process.
+every module and object and costs 5-9 ms per process.  A live thread, or a flush that
+fails otherwise than on a closed pipe, takes the normal exit.  A closed stdout pipe ends
+one way whatever the output size, whether a write in ``main`` or the last flush meets
+it: exit 2 and the one stderr line ``error: [Errno 32] Broken pipe``.  ``main(argv)``
+returns the code and exits nothing, so tests and benchmarks call it in their own process.
 """
 
 from __future__ import annotations
@@ -77,11 +79,16 @@ def _decide(t, catalog, reduction):
     return trace, [catalog.identify(s.state) for s in trace.steps]
 
 
-def _decide_json(t, trace, chain, catalog, reduction) -> str:
+def _defect(trace) -> int:
+    # the input's: its first state keeps its size, and a dropped scalar entry has d = 0
+    return 2 - trace.steps[0].report.alpha_slack
+
+
+def _decide_json(trace, chain, reduction) -> str:
     """The decide/trace JSON line: ``chain`` and ``defect``, then the trace's own
     keys, written after them in sorted order by ``reduction.trace_json``."""
     return ('{"chain":' + _compact_json(chain)
-            + f',"defect":{catalog.defect(t)},' + reduction.trace_json(trace)[1:])
+            + f',"defect":{_defect(trace)},' + reduction.trace_json(trace)[1:])
 
 
 def _print_verdict(v) -> None:
@@ -112,15 +119,15 @@ def _cmd_decide(args) -> int:
                     bad = True
                     continue
                 trace, chain = _decide(t, catalog, reduction)
-                print(_decide_json(t, trace, chain, catalog, reduction))
+                print(_decide_json(trace, chain, reduction))
         return EXIT_USAGE if bad else EXIT_OK
     t = _tuple_from_args(args)
     trace, chain = _decide(t, catalog, reduction)
     if args.json:
-        print(_decide_json(t, trace, chain, catalog, reduction))
+        print(_decide_json(trace, chain, reduction))
         return EXIT_OK
     _print_verdict(trace.verdict)
-    print(f"defect: {catalog.defect(t)}")
+    print(f"defect: {_defect(trace)}")
     labels = []
     for names, step in zip(chain, trace.steps):
         labels.append("=".join(names) if names else str(step.state))
@@ -134,7 +141,7 @@ def _cmd_trace(args) -> int:
     t = _tuple_from_args(args)
     trace, chain = _decide(t, catalog, reduction)
     if args.json:
-        print(_decide_json(t, trace, chain, catalog, reduction))
+        print(_decide_json(trace, chain, reduction))
         return EXIT_OK
     _print_verdict(trace.verdict)
     for i, (step, names) in enumerate(zip(trace.steps, chain)):
@@ -418,20 +425,34 @@ def main(argv=None) -> int:
     except (ObstructionError, ChainMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
+    except BrokenPipeError:
+        raise  # stdout is a closed pipe, which run() reports
     except (ValueError, KeyError, TypeError, OSError, DspkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
+def _closed_stdout(exc: BrokenPipeError) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    # what stdout still holds cannot be written: the exit's flush sends it nowhere
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return EXIT_USAGE
+
+
 def run() -> None:
     """The process entry point: ``main()``, then an exit with no teardown."""
-    code = main()
+    try:
+        code = main()
+    except BrokenPipeError as exc:
+        code = _closed_stdout(exc)
     threading = sys.modules.get("threading")
     if threading is None or threading.active_count() == 1:
         atexit._run_exitfuncs()
         try:
             sys.stdout.flush()
             sys.stderr.flush()
+        except BrokenPipeError as exc:
+            code = _closed_stdout(exc)
         except (AttributeError, OSError, ValueError):
             pass  # left to the normal exit
         else:

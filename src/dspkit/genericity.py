@@ -412,10 +412,8 @@ def gcd_obstruction(t: JnfTuple) -> int | None:
     A gcd g >= 2 forces the kappa = n/g sub-selection relation in the additive
     setting, so no additive generic assignment exists.
     """
-    g = 0
-    for e in t.entries:
-        for m in e.eigenvalue_multiplicities():
-            g = math.gcd(g, m)
+    # slot sizes from the vectors: an int slot is its multiplicity, a block slot their sum
+    g = math.gcd(*[s if type(s) is int else sum(s) for vec in t._vecs for s in vec])
     return g if g >= 2 else None
 
 
@@ -435,7 +433,7 @@ def candidate_assignment(
     product over g-fold smaller multiplicities is then a primitive g-th root
     of unity iff gcd(product_exponent, g) == 1.
     """
-    mult_lists = [e.eigenvalue_multiplicities() for e in t.entries]
+    mult_lists = [[s if type(s) is int else sum(s) for s in vec] for vec in t._vecs]
     mults = [m for ms in mult_lists for m in ms]
     last = mults[-1]
     target = 0 if mode == "additive" else product_exponent

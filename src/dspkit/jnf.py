@@ -8,16 +8,16 @@ multiplicity vector (one part per eigenvalue).
 A shape's int form, its vector, is what the decision loop steps: one item per slot in
 canonical slot order, an all-ones slot as its multiplicity and any other slot as its
 block sizes, an int tuple.  Canonical order puts the all-ones slots last, so a diagonal
-shape's vector is its multiplicity vector.  A ``JnfTuple`` holds its entries or their
-vectors and builds the other on first read: the parsers (``sorted_parts`` checks their
-parts) and the decision loop make vectors, and the tuple's text, its JSON
-(``reduction.jnf_tuple_json``) and r and d (``partitions._ranks``) come from them, so a
-tuple that is only parsed, decided, named and printed never builds a shape.
+shape's vector is its multiplicity vector.  Vectors and shapes are one-to-one, so a
+``JnfTuple`` stores only its entries' vectors, compares and hashes by them, and builds its
+``entries`` from them on each read.  The parsers (``sorted_parts`` checks their parts) and
+the decision loop make vectors, and a tuple's text and JSON (``partitions._entry_record``)
+and r and d (``partitions._ranks``) come from them, so a tuple that is only parsed,
+compared, decided, named and printed never builds a shape.
 
 Shapes and tuples are immutable and may be shared: shapes built from vectors, by
-``Jnf.diagonal`` or on a first read of ``entries``, come from a bounded table.  Never
-mutate them with ``object.__setattr__``.  A ``Jnf`` fills its hash into a slot on
-first use.
+``Jnf.diagonal`` or on a read of ``entries``, come from a bounded table.  Never mutate
+them with ``object.__setattr__``.  A ``Jnf`` fills its hash into a slot on first use.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ from operator import attrgetter
 from typing import Iterable
 
 from .errors import require_key
-from .partitions import (_TEXT_CACHE_SIZE, Partition, _capped, _Frozen, _ranks, _vector_text,
-                         disjoint_sum, dual, normalize, parse_parts, sorted_parts)
+from .partitions import (Partition, _capped, _entry_record, _Frozen, _ranks, disjoint_sum,
+                         dual, normalize, parse_parts, sorted_parts)
 
-#: Bound on the table of shapes built from vectors, for callers that read ``entries``
-#: (the CLI does not), chosen by measurement: Tier-1 builds shapes of 2,470 distinct
-#: vectors.  The six tests that read the most took 11.7 s with 2048 and 13.0-13.2 s
-#: with no table; 1024 to 8192 moved the whole suite by under 0.3 s.
+#: Bound on the shapes built from vectors, for callers that read ``entries`` (the CLI does
+#: not).  Measured in CHANGES.md, "One stored form per tuple".
 _SHAPE_CACHE_SIZE = 2048
 
 
@@ -107,7 +105,7 @@ class Jnf(_Frozen):
         return self.r == 0
 
     def __str__(self) -> str:
-        return str(self._mv) if self.is_diagonal else "{" + ",".join(map(str, self.slots)) + "}"
+        return _entry_record(self._vec)[0]
 
 
 def corresponding_diagonal(j: Jnf) -> Partition:
@@ -121,17 +119,16 @@ def corresponding_diagonal(j: Jnf) -> Partition:
 class JnfTuple(_Frozen):
     """An ordered tuple of shapes of one common size, the decision-procedure input.
 
-    ``n`` and ``is_diagonal`` are set on construction.  ``entries`` and ``_vecs``,
-    the entries' vectors (see the module docstring), are each built from the other on
-    first read; equality and hashing see the entries.
+    It stores ``_vecs``, its entries' vectors (see the module docstring), ``n`` and
+    ``is_diagonal``; equality and hashing see the vectors.
     """
 
-    __slots__ = ("entries", "n", "is_diagonal", "_vecs")
+    __slots__ = ("_vecs", "n", "is_diagonal")
 
-    def __init__(self, entries: tuple[Jnf, ...]) -> None:
+    def __init__(self, entries: Iterable[Jnf]) -> None:
         entries = tuple(entries)
-        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "n", _size(len(entries), {e.n for e in entries}))
+        object.__setattr__(self, "_vecs", tuple([e._vec for e in entries]))
         object.__setattr__(self, "is_diagonal", all(e.is_diagonal for e in entries))
 
     @classmethod
@@ -143,16 +140,10 @@ class JnfTuple(_Frozen):
         object.__setattr__(self, "is_diagonal", diagonal)
         return self
 
-    def __getattr__(self, name):
-        # called for unset slots only: the one of entries and _vecs not yet built
-        if name == "entries":
-            value = tuple(map(_shape, self._vecs))
-        elif name == "_vecs":
-            value = tuple([e._vec for e in self.entries])
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
+    @property
+    def entries(self) -> tuple[Jnf, ...]:
+        """The entries' shapes, built from the vectors on each read."""
+        return tuple(map(_shape, self._vecs))
 
     def __repr__(self) -> str:
         return f"JnfTuple(entries={self.entries!r})"
@@ -160,10 +151,10 @@ class JnfTuple(_Frozen):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.entries == other.entries
+        return self._vecs == other._vecs
 
     def __hash__(self) -> int:
-        return hash((self.entries,))
+        return hash((self._vecs,))
 
     @classmethod
     def from_pmv(cls, mvs: Iterable[Partition | Iterable[int]]) -> "JnfTuple":
@@ -181,9 +172,7 @@ class JnfTuple(_Frozen):
         return tuple(map(Partition, self._vecs))
 
     def __str__(self) -> str:
-        if self.is_diagonal:
-            return ";".join(map(_entry_text, self._vecs))
-        return ";".join(str(e) for e in self.entries)
+        return ";".join([_entry_record(vec)[0] for vec in self._vecs])
 
 
 def _size(count: int, sizes: set[int]) -> int:
@@ -204,10 +193,6 @@ def _shape(vec: tuple) -> Jnf:
 def parse_pmv(text: str) -> JnfTuple:
     segments = [seg for seg in text.split(";") if seg.strip()]
     return JnfTuple.from_pmv([parse_parts(seg) for seg in segments])
-
-
-# format_vectors' text of one validated vector: no bool or float part (True == 1)
-_entry_text = lru_cache(maxsize=_TEXT_CACHE_SIZE)(_vector_text)
 
 
 def jnf_from_dict(data: dict) -> Jnf:

@@ -1,8 +1,9 @@
-"""Integer partitions: validation (``sorted_parts``), conjugation, sums, r and d (``_ranks``)."""
+"""Integer partitions: validation (``sorted_parts``), conjugation and sums, and an entry
+vector's r and d (``_ranks``) and its text and JSON (``_entry_record``)."""
 
 from __future__ import annotations
 
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -10,11 +11,8 @@ from typing import Iterable, Iterator
 MAX_SIZE = 10_000
 #: The odd numbers 2i+1 that weigh block i in a slot's sum of squared conjugate parts.
 _ODD = range(1, 2 * MAX_SIZE, 2)
-#: Bound on each of the cached JSON and vector texts of entries: perfbench's `batch`
-#: prints 1,454 (seed 5) and 1,484 (seed 7919) distinct entries of about 7,500.  Its
-#: seed-7919 lines took 43.4-44.1 ms in process with 2048 or 4096, 43.6-45.3 with 1024,
-#: 44.9-46.0 with 512 and 46.2-47.3 with 256; seed 5 took 46.9-48.0 against 44.3-44.8
-#: with no vector-text cache (5 fresh processes each, Python 3.11, 2 cores).
+#: Bound on the entry records (``_entry_record``): over the distinct entries a batch prints.
+#: Measured in CHANGES.md, "One stored form per tuple".
 _TEXT_CACHE_SIZE = 2048
 
 
@@ -83,6 +81,15 @@ def format_vectors(mvs: Iterable[Iterable[int]]) -> str:
 
 def _vector_text(mv: Iterable[int]) -> str:
     return "(" + ",".join(map(str, mv)) + ")"
+
+
+@lru_cache(maxsize=_TEXT_CACHE_SIZE)
+def _entry_record(vec: tuple) -> tuple[str, str]:
+    """The text and JSON of an entry's validated vector (no bool or float part: True == 1),
+    such as ``{(2,1),(1,1)}`` and ``{"eigenvalues":[[2,1],[1,1]]}`` for ``((2,1),2)``."""
+    slots = [("1," * s)[:-1] if type(s) is int else ",".join(map(str, s)) for s in vec]
+    text = _vector_text(vec) if type(vec[0]) is int else "{(" + "),(".join(slots) + ")}"
+    return text, '{"eigenvalues":[[' + "],[".join(slots) + "]]}"
 
 
 def _checked_size(parts: tuple) -> int:

@@ -22,25 +22,21 @@ and cutting it lowers m, so a diagonal entry steps as its multiplicity vector, i
 largest multiplicity lowered by n - n1, as in ``solvable_pmv``.
 
 ``trace_json`` writes a trace's compact, sorted-key JSON text directly, ints,
-booleans and ``null`` inline and each state through ``jnf_tuple_json``; they are the
-one definition of the trace schema and of the tuple's JSON form.
+booleans and ``null`` inline and each state through ``jnf_tuple_json``, which joins
+its entries' cached JSON (``partitions._entry_record``); they are the one definition
+of the trace schema and of the tuple's JSON form.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import PreconditionError
-from .partitions import _TEXT_CACHE_SIZE, _ranks
+from .partitions import _entry_record, _ranks
 
 if TYPE_CHECKING:
     from .jnf import JnfTuple
-
-#: Bound on the cached slot texts: the batches measured for ``partitions._TEXT_CACHE_SIZE``
-#: ask for 148-158, and without the cache the seed-5 batch took 46.2-46.7 ms against 44.3-44.8.
-_SLOT_CACHE_SIZE = 256
 
 
 class Reason(str, Enum):
@@ -251,20 +247,9 @@ def solvable_pmv(mvs: Sequence[Sequence[int]]) -> bool:
 _JSON_BOOL = ("false", "true")
 
 
-@lru_cache(maxsize=_SLOT_CACHE_SIZE)
-def _slot_json(s: int | tuple[int, ...]) -> str:
-    # an all-ones slot of multiplicity s is s ones; ",".join("111") is "1,1,1"
-    return "[" + ",".join("1" * s if type(s) is int else map(str, s)) + "]"
-
-
-@lru_cache(maxsize=_TEXT_CACHE_SIZE)
-def _entry_json(vec: tuple) -> str:
-    return '{"eigenvalues":[' + ",".join(map(_slot_json, vec)) + "]}"
-
-
 def jnf_tuple_json(t: JnfTuple) -> str:
     """``t`` as compact JSON text with sorted keys: ``{"entries":[...],"n":...}``."""
-    return '{"entries":[' + ",".join(map(_entry_json, t._vecs)) + f'],"n":{t.n}}}'
+    return '{"entries":[' + ",".join([_entry_record(v)[1] for v in t._vecs]) + f'],"n":{t.n}}}'
 
 
 def trace_json(trace: ReductionTrace) -> str:

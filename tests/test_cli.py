@@ -10,8 +10,8 @@ import time
 import pytest
 
 import dspkit
-from dspkit.catalog import all_series_ids, series
-from dspkit.cli import main
+from dspkit.catalog import all_series_ids, defect, series
+from dspkit.cli import _defect, main
 from dspkit.genericity import (
     ExactValue,
     assignment_from_dict,
@@ -20,7 +20,9 @@ from dspkit.genericity import (
     trace_condition,
 )
 from dspkit.jnf import Jnf, JnfTuple
-from helpers import fresh_python, rational_assignment, reference_psi_step
+from dspkit.reduction import Reason, decide
+from helpers import (fresh_python, random_jnf_tuple, random_pmv, rational_assignment,
+                     reference_psi_step)
 
 
 def run(capsys, *argv):
@@ -437,6 +439,28 @@ def test_trace_text(capsys):
     code, out, _ = run(capsys, "trace", "(3,2,2);(3,2,2);(3,2,2)")
     assert code == 0
     assert "step 0" in out and "omega slack" in out
+
+
+def test_decide_reads_the_input_defect_from_its_first_step():
+    # the first state keeps the input's size, and the scalar entries dropped from it have
+    # d = 0, so its alpha slack gives the input's defect
+    rng = random.Random(47)
+    tuples = [JnfTuple.from_pmv([(2, 1), (3,), (3,)]), JnfTuple.from_pmv([(4,), (4,)]),
+              JnfTuple.from_pmv([(1,), (1,), (1,)])]
+    for i in range(600):
+        n, count = rng.randint(1, 10), rng.randint(2, 5)
+        if i % 2:
+            t = random_jnf_tuple(rng, n, count)
+        else:
+            t = JnfTuple.from_pmv(random_pmv(rng, n, count))
+        tuples.append(JnfTuple(t.entries + (Jnf.diagonal((n,)),) * rng.randint(0, 2)))
+    reasons, dropped = set(), 0
+    for t in tuples:
+        trace = decide(t)
+        assert _defect(trace) == defect(t), t
+        reasons.add(trace.verdict.reason)
+        dropped += bool(trace.steps[0].dropped_scalar_indices)
+    assert reasons == set(Reason) and dropped > 100
 
 
 def test_defect_command(capsys):
@@ -894,21 +918,23 @@ def test_live_thread_finishes_its_output(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out + "thread done\n", err)
 
 
-@pytest.mark.parametrize("argv, code, err", [
-    # the output overflows the buffer inside main, which reports the failed write
-    (["enum-rigid", "--n", "14", "--entries", "3", "--no-scalar", "--json"], 2,
-     "error: [Errno 32] Broken pipe\n"),
-    # the output fits the buffer, so the exit's flush fails and the interpreter reports it
-    (_DECIDE, 120, "BrokenPipeError: [Errno 32] Broken pipe\n"),
-], ids=["in-main", "at-exit"])
-def test_closed_stdout_pipe(argv, code, err):
+@pytest.mark.parametrize("argv", [
+    # the output overflows the text buffer, so a write inside main meets the closed pipe
+    ["enum-rigid", "--n", "14", "--entries", "3", "--no-scalar", "--json"],
+    # the output fits the buffers, so the exit's flush meets it
+    _DECIDE,
+    # about 6 KB: past a pipe's 4 KB byte buffer, inside the 8 KB text buffer, so the
+    # exit's flush writes it through and keeps nothing for a later flush
+    ["enum-rigid", "--n", "9", "--entries", "3", "--no-scalar", "--json"],
+], ids=["in-main", "at-exit", "past-the-buffer"])
+def test_closed_stdout_pipe(argv):
     read, write = os.pipe()
     os.close(read)
     try:
         proc = _block_buffered("-m", "dspkit.cli", *argv, stdout=write)
     finally:
         os.close(write)
-    assert proc.returncode == code and proc.stderr.endswith(err), proc.stderr
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 32] Broken pipe\n")
 
 
 def test_no_stdout_takes_the_normal_exit():

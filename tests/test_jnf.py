@@ -1,6 +1,7 @@
 import itertools
 import json
 import operator
+import random
 
 import pytest
 
@@ -16,10 +17,15 @@ from dspkit import (
     jnf_tuple_from_dict,
     parse_pmv,
 )
+import dspkit.jnf
+from dspkit.catalog import identify
 from dspkit.cli import main
-from dspkit.reduction import jnf_tuple_json
+from dspkit.errors import ObstructionError
+from dspkit.genericity import generate_generic
+from dspkit.reduction import decide, jnf_tuple_json, trace_json
 from dspkit.partitions import MAX_SIZE, normalize
-from helpers import all_jnfs, centralizer_dim_oracle, diagonalized, partitions_of, shape_fields
+from helpers import (all_jnfs, centralizer_dim_oracle, diagonalized, partitions_of,
+                     random_partition, shape_fields)
 
 
 def mv(*parts):
@@ -100,7 +106,7 @@ def test_shapes_compare_by_their_one_field_and_are_immutable():
     j = Jnf.from_blocks([[1, 1], [2], [1, 1, 1], [3]])
     t = JnfTuple.from_pmv([(1, 1), (2,)])
     assert p == Partition([2, 1]) and hash(p) == hash(((2, 1),))
-    assert hash(j) == hash((j.slots,)) and hash(t) == hash((t.entries,))
+    assert hash(j) == hash((j.slots,)) and hash(t) == hash((t._vecs,))
     assert Partition((1,)) != (1,) and j != j.slots and t != t.entries
     for op in (operator.lt, operator.le, operator.gt, operator.ge):
         with pytest.raises(TypeError):
@@ -236,6 +242,52 @@ def test_tuple_json_round_trip():
     assert jnf_tuple_from_dict(data) == t
     with pytest.raises(ValueError):
         jnf_tuple_from_dict({"n": 3, "entries": data["entries"]})
+
+
+def test_every_constructor_gives_one_tuple_and_no_path_builds_a_shape(capsys):
+    # a tuple stores only its vectors, so the ways to build one agree on ==, hash and str
+    rng = random.Random(43)
+    built = []
+    for i in range(300):
+        n, count = rng.randint(1, 10), rng.randint(2, 4)
+        if i % 2:  # diagonal: every slot all ones
+            blocks = [[(1,) * m for m in random_partition(rng, n)] for _ in range(count)]
+        else:
+            blocks = [[random_partition(rng, s) for s in random_partition(rng, n)]
+                      for _ in range(count)]
+        # each entry's vector by hand: slots in descending order, an all-ones slot as its count
+        vecs = tuple(tuple(s if s[0] > 1 else len(s) for s in sorted(e, reverse=True))
+                     for e in blocks)
+        diagonal = all(type(vec[0]) is int for vec in vecs)
+        ways = [JnfTuple(Jnf.from_blocks(e) for e in blocks),
+                JnfTuple._of_vectors(vecs, n, diagonal),
+                jnf_tuple_from_dict({"entries": [{"eigenvalues": e} for e in blocks]})]
+        if diagonal:
+            ways.append(parse_pmv(";".join(
+                "(" + ",".join(map(str, rng.sample(vec, len(vec)))) + ")" for vec in vecs)))
+        for t in ways:
+            assert (t, hash(t), str(t)) == (ways[0], hash(ways[0]), str(ways[0]))
+        built.append(ways[0])
+    assert {t.is_diagonal for t in built} == {False, True}
+    # comparing, hashing, printing, deciding, naming and generating read only the vectors
+    dspkit.jnf._shape.cache_clear()
+    for t in built:
+        assert t == JnfTuple._of_vectors(t._vecs, t.n, t.is_diagonal)
+        hash(t), str(t), jnf_tuple_json(t), trace_json(decide(t)), identify(t)
+        try:
+            generate_generic(t)
+        except ObstructionError:
+            pass
+    for t in built[:40]:
+        blob = jnf_tuple_json(t)
+        for argv in (["decide", "--jnf", blob], ["decide", "--json", "--jnf", blob],
+                     ["trace", "--jnf", blob], ["trace", "--json", "--jnf", blob],
+                     ["defect", "--jnf", blob], ["generic-gen", "--jnf", blob]):
+            assert main(argv) in (0, 1), argv  # 1: a generic-gen obstruction
+        if t.is_diagonal:
+            assert main(["decide", str(t)]) == 0
+    capsys.readouterr()
+    assert dspkit.jnf._shape.cache_info().misses == 0
 
 
 def test_diagonalized_keeps_order():
